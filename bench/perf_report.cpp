@@ -17,6 +17,7 @@
 // --metrics additionally writes the snapshot alone to its own file;
 // --trace streams Chrome-trace JSONL spans (see docs/OBSERVABILITY.md).
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -47,6 +48,14 @@ struct LexConfig {
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// CPU time consumed by the calling thread: unlike wall time, it does not
+/// grow while the thread is preempted.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 }  // namespace
@@ -202,27 +211,31 @@ int main(int argc, char** argv) {
     }
     workspace.set_force_fallback(false);
 
-    // Best-of-3 timing windows: a scheduler hiccup inflates one window, not
-    // the minimum, so the speedup gate stays stable on loaded machines.
+    // Best-of-3 timing windows of thread CPU time, fast and fallback
+    // alternating: time spent preempted is not charged, a hiccup inflates
+    // one window, not the minimum, and a change in machine load between
+    // windows hits both engines alike, so the speedup gate stays stable on
+    // loaded machines.
     constexpr int kFastPasses = 1200;
     constexpr int kFallbackPasses = 200;
     constexpr int kReps = 3;
     const auto timed_passes = [&](int passes) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < kReps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int pass = 0; pass < passes; ++pass) {
-          for (const MiddleAssignment& middles : cycle) {
-            (void)workspace.max_min_rates(middles);
-          }
+      const double start = thread_cpu_seconds();
+      for (int pass = 0; pass < passes; ++pass) {
+        for (const MiddleAssignment& middles : cycle) {
+          (void)workspace.max_min_rates(middles);
         }
-        best = std::min(best, seconds_since(start));
       }
-      return best;
+      return thread_cpu_seconds() - start;
     };
-    const double fast_secs = timed_passes(kFastPasses);
-    workspace.set_force_fallback(true);
-    const double fallback_secs = timed_passes(kFallbackPasses);
+    double fast_secs = std::numeric_limits<double>::infinity();
+    double fallback_secs = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < kReps; ++rep) {
+      workspace.set_force_fallback(false);
+      fast_secs = std::min(fast_secs, timed_passes(kFastPasses));
+      workspace.set_force_fallback(true);
+      fallback_secs = std::min(fallback_secs, timed_passes(kFallbackPasses));
+    }
 
     const double fast_cps = kFastPasses * 64 / fast_secs;
     const double fallback_cps = kFallbackPasses * 64 / fallback_secs;

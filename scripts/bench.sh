@@ -17,7 +17,9 @@
 # waterfill.fallback_calls split is held exactly: any drift in either
 # direction fails, and the two must always sum to waterfill.calls. The
 # svc.delta_hits / svc.delta_warm_starts outcomes of bench/service's scripted
-# delta stream are held exactly the same way.
+# delta stream are held exactly the same way: a delta is served from the
+# cache, answered by objective-switch reuse of its base result, or counted
+# as a warm start and evaluated cold.
 # Wall-clock seconds and span durations are reported but never gating —
 # this machine is shared.
 #
@@ -81,7 +83,8 @@ DETERMINISTIC_NAMES = {
 #    calls it accepts — a determinism break, not an improvement;
 #  - the delta outcome counters are fixed by bench/service's delta request
 #    stream (every hit and every warm start is scripted), so drift means
-#    the delta resolution or warm-start path changed behavior.
+#    delta resolution, or the choice between reuse and cold evaluation,
+#    changed behavior.
 EXACT_NAMES = {"waterfill.fast_calls", "waterfill.fallback_calls",
                "svc.delta_hits", "svc.delta_warm_starts"}
 

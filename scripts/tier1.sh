@@ -15,7 +15,9 @@
 # ThreadSanitizer, the fault / workload / rate-control / search /
 # wire-socket tests under ASan+UBSan, and the CLOSFAIR_OBS=OFF
 # configuration (instrumentation compiled out) with its unit tests plus a
-# link-level check that the obs TUs are empty.
+# link-level check that the obs TUs are empty, and a build of the end-to-end
+# benchmark (e2ebench/, its own CMake project compiled against the library's
+# API) with its generator self-test.
 #
 # Usage: scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -222,6 +224,12 @@ done
 echo "obs TUs are empty under OBS=OFF (no defined symbols)"
 (cd build-noobs && ctest --output-on-failure -j "$JOBS" \
     -R 'Obs|SearchEngine|Waterfill|Simplex|MaxMin|Exhaustive')
+
+echo
+echo "== tier 1: e2ebench builds against the library and passes its self-test =="
+cmake -S e2ebench -B build-e2ebench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-e2ebench -j "$JOBS" --target e2ebench_runner e2ebench_selftest
+(cd build-e2ebench && ctest --output-on-failure -R e2ebench_selftest)
 
 echo
 echo "tier 1: OK"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "fairness/bottleneck.hpp"
 #include "obs/obs.hpp"
 
 namespace closfair {
@@ -14,20 +13,6 @@ template Allocation<Rational> max_min_fair<Rational>(const Topology&, const Flow
                                                      const Routing&);
 template Allocation<double> max_min_fair<double>(const Topology&, const FlowSet&,
                                                  const Routing&);
-
-Allocation<Rational> max_min_fair_seeded(const Topology& topo, const FlowSet& flows,
-                                         const Routing& routing,
-                                         const std::vector<Rational>& seed_rates) {
-  if (seed_rates.size() == flows.size()) {
-    Allocation<Rational> seeded(seed_rates);
-    if (is_max_min_fair<Rational>(topo, routing, seeded)) {
-      OBS_COUNTER_INC("waterfill.seed_hits");
-      return seeded;
-    }
-  }
-  OBS_COUNTER_INC("waterfill.seed_misses");
-  return max_min_fair<Rational>(topo, flows, routing);
-}
 
 void WaterfillWorkspace::bind(const ClosNetwork& net, const FlowSet& flows) {
   const Topology& topo = net.topology();

@@ -221,19 +221,6 @@ template <typename R>
   return max_min_fair<R>(ms.topology(), flows, macro_routing(ms, flows));
 }
 
-/// Warm-started exact water-fill: certify `seed_rates` as *the* max-min fair
-/// allocation for (topo, flows, routing) via the bottleneck condition
-/// (Lemma 2.2, fairness/bottleneck.hpp) and return it verbatim on success
-/// (waterfill.seed_hits); otherwise run the cold generic sweep
-/// (waterfill.seed_misses). The max-min fair allocation is unique and
-/// Rationals are canonical, so an accepted seed is byte-identical to the
-/// cold result by construction — the delta service leans on this to reuse a
-/// base result's rates whenever the patch left them fair.
-[[nodiscard]] Allocation<Rational> max_min_fair_seeded(const Topology& topo,
-                                                       const FlowSet& flows,
-                                                       const Routing& routing,
-                                                       const std::vector<Rational>& seed_rates);
-
 /// Reusable exact water-filling state for repeated evaluation of Clos middle
 /// assignments — the exhaustive-search inner loop.
 ///

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "fairness/bottleneck.hpp"
 #include "lp/simplex.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -133,20 +132,6 @@ Allocation<R> max_min_fair_lp(const Topology& topo, const FlowSet& flows,
 
 template Allocation<Rational> max_min_fair_lp<Rational>(const Topology&, const FlowSet&,
                                                         const Routing&);
-
-Allocation<Rational> max_min_fair_lp_seeded(const Topology& topo, const FlowSet& flows,
-                                            const Routing& routing,
-                                            const std::vector<Rational>& seed_rates) {
-  if (seed_rates.size() == flows.size()) {
-    Allocation<Rational> seeded(seed_rates);
-    if (is_max_min_fair<Rational>(topo, routing, seeded)) {
-      OBS_COUNTER_INC("lp.seed_hits");
-      return seeded;
-    }
-  }
-  OBS_COUNTER_INC("lp.seed_misses");
-  return max_min_fair_lp<Rational>(topo, flows, routing);
-}
 
 Allocation<Rational> weighted_max_min_fair_lp(const Topology& topo, const FlowSet& flows,
                                               const Routing& routing,

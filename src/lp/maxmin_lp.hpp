@@ -22,17 +22,6 @@ template <typename R>
 [[nodiscard]] Allocation<R> max_min_fair_lp(const Topology& topo, const FlowSet& flows,
                                             const Routing& routing);
 
-/// Warm-started LP oracle: certify `seed_rates` as the max-min fair
-/// allocation via the bottleneck condition (Lemma 2.2) and return it
-/// verbatim on success (lp.seed_hits); otherwise run the cold iterative LP
-/// (lp.seed_misses). Uniqueness of the max-min allocation makes an accepted
-/// seed byte-identical to the cold LP result — the certifier replaces the
-/// previous basis wholesale, which is the strongest warm start an unchanged
-/// objective admits.
-[[nodiscard]] Allocation<Rational> max_min_fair_lp_seeded(
-    const Topology& topo, const FlowSet& flows, const Routing& routing,
-    const std::vector<Rational>& seed_rates);
-
 /// Weighted variant: maximize the common normalized floor t with
 /// x_f >= w_f * t, freezing flows whose normalized rate cannot exceed t.
 /// The independent oracle for fairness/weighted.hpp; weights must be

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <utility>
 
 namespace closfair::obs::rt {
@@ -154,32 +153,18 @@ Json trace_to_json(const RequestTrace& trace) {
 }
 
 std::string dump_chrome_jsonl(const std::vector<RequestTrace>& traces) {
-  // Same event shape as obs/trace.cpp: complete ("ph":"X") events with
-  // microsecond ts/dur, pid 1, tid = connection id, so both streams can be
-  // concatenated into one about:tracing / Perfetto load.
+  // One request event plus one event per nonzero stage, tid = connection id,
+  // ts = the steady-clock arrival time the stages are laid out from.
   std::string out;
-  char line[256];
   for (const RequestTrace& trace : traces) {
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"wire.request/%s\",\"ph\":\"X\",\"ts\":%.3f,"
-                  "\"dur\":%.3f,\"pid\":1,\"tid\":%llu}\n",
-                  outcome_name(trace.outcome),
-                  static_cast<double>(trace.arrival_ns) / 1000.0,
-                  static_cast<double>(trace.wall_ns()) / 1000.0,
-                  static_cast<unsigned long long>(trace.conn_id));
-    out += line;
+    append_chrome_event(out, std::string{"wire.request/"} + outcome_name(trace.outcome),
+                        trace.arrival_ns, trace.wall_ns(), trace.conn_id);
     std::uint64_t offset_ns = trace.arrival_ns;
     for (std::size_t i = 0; i < kStageCount; ++i) {
       const std::uint64_t duration_ns = trace.stage_ns[i];
       if (duration_ns == 0) continue;
-      std::snprintf(line, sizeof(line),
-                    "{\"name\":\"wire.stage.%s\",\"ph\":\"X\",\"ts\":%.3f,"
-                    "\"dur\":%.3f,\"pid\":1,\"tid\":%llu}\n",
-                    stage_name(static_cast<Stage>(i)),
-                    static_cast<double>(offset_ns) / 1000.0,
-                    static_cast<double>(duration_ns) / 1000.0,
-                    static_cast<unsigned long long>(trace.conn_id));
-      out += line;
+      append_chrome_event(out, std::string{"wire.stage."} + stage_name(static_cast<Stage>(i)),
+                          offset_ns, duration_ns, trace.conn_id);
       offset_ns += duration_ns;
     }
   }

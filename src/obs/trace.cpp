@@ -61,16 +61,13 @@ void drain_ring_locked(TraceRing& ring) {
   const std::uint64_t start = s.session_start_ns.load(std::memory_order_relaxed);
   std::uint64_t tail = ring.tail.load(std::memory_order_relaxed);
   const std::uint64_t head = ring.head.load(std::memory_order_acquire);
+  std::string out;
   for (; tail != head; ++tail) {
     const TraceEvent& e = ring.events[tail & (kRingCapacity - 1)];
     if (e.start_ns < start) continue;  // stale event from a previous session
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u}\n",
-                  static_cast<double>(e.start_ns - start) / 1000.0,
-                  static_cast<double>(e.dur_ns) / 1000.0, e.tid);
-    s.sink << "{\"name\":\"" << json_escape(e.name) << buf;
+    append_chrome_event(out, e.name, e.start_ns - start, e.dur_ns, e.tid);
   }
+  s.sink << out;
   ring.tail.store(tail, std::memory_order_release);
 }
 
@@ -99,6 +96,18 @@ TraceRing& local_ring() {
 }
 
 }  // namespace
+
+void append_chrome_event(std::string& out, const std::string& name, std::uint64_t ts_ns,
+                         std::uint64_t dur_ns, std::uint64_t tid) {
+  char fields[128];
+  std::snprintf(fields, sizeof fields,
+                "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%llu}\n",
+                static_cast<double>(ts_ns) / 1000.0, static_cast<double>(dur_ns) / 1000.0,
+                static_cast<unsigned long long>(tid));
+  out += "{\"name\":\"";
+  out += json_escape(name);
+  out += fields;
+}
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(

@@ -39,6 +39,13 @@ void stop_trace();
 /// Monotonic nanoseconds (steady clock) — the time base of all spans.
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
+/// Append one Chrome-trace complete event as a JSONL line:
+/// {"name","ph":"X","ts","dur","pid":1,"tid"}, with ts/dur in microseconds.
+/// The one event writer behind both the span stream and
+/// obs::rt::dump_chrome_jsonl; each caller picks its own time base and tid.
+void append_chrome_event(std::string& out, const std::string& name, std::uint64_t ts_ns,
+                         std::uint64_t dur_ns, std::uint64_t tid);
+
 /// RAII scope: records wall time into `hist` on destruction and, when a
 /// trace session is active, emits a trace event named `name`. Use through
 /// OBS_SPAN, which wires up the magic-static histogram.

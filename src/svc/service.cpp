@@ -24,6 +24,7 @@
 #include "routing/local_search.hpp"
 #include "routing/lp_rounding.hpp"
 #include "routing/replication.hpp"
+#include "svc/policy.hpp"
 #include "util/rng.hpp"
 #include "workload/stochastic.hpp"
 
@@ -36,25 +37,6 @@ std::string hash_hex(std::uint64_t hash) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
   return std::string{buf};
-}
-
-/// Warm-start inputs threaded into evaluate_clos by evaluate_scenario_warm.
-/// Every reuse is certified (macro: projection equality; rates: Lemma 2.2 on
-/// the patched instance), so hints can only change wall-clock, never bytes.
-struct WarmHints {
-  const ScenarioResult* base = nullptr;  ///< seed for the final allocation
-  bool reuse_macro = false;              ///< replay base->macro_rates verbatim
-};
-
-/// The topology+workload projection of a spec. Equal projections generate
-/// the same flow collection and therefore the same macro-switch reference —
-/// the exact LP and water-fill agree on it, so the projection ignores
-/// routing, objective, and fault.
-std::string macro_projection(const ScenarioSpec& spec) {
-  ScenarioSpec stripped;
-  stripped.topology = spec.topology;
-  stripped.workload = spec.workload;
-  return stripped.canonical();
 }
 
 /// Generate the coordinate-level collection (and declared target rates, for
@@ -110,7 +92,181 @@ void fill_routed(ScenarioResult& result, const Allocation<Rational>& alloc) {
   result.min_rate_ratio = min_ratio;
 }
 
+}  // namespace
+
+/// What a Clos policy run reads. `rng` is the policy's stream: Rng(seed) when
+/// the routing names a seed, otherwise the workload generator's stream,
+/// continued.
+struct ClosRun {
+  const ScenarioSpec& spec;
+  const ClosNetwork& net;
+  const MacroSwitch& ms;
+  const FlowCollection& specs;
+  const std::vector<std::optional<Rational>>& targets;
+  const Allocation<Rational>& macro;
+  const FlowSet& flows;
+  MiddleAssignment start;
+  Rng rng;
+  ScenarioResult& result;  ///< for the side outputs: search stats, replication
+};
+
+/// What a fat-tree policy run reads; `rng` as for ClosRun.
+struct FatTreeRun {
+  const ScenarioSpec& spec;
+  const FatTree& ft;
+  const FlowSet& flows;
+  const Allocation<Rational>& macro;
+  Rng rng;
+};
+
+namespace {
+
+using ClosRouting = std::optional<MiddleAssignment>;
+using FatTreeRouting = std::optional<Routing>;
+
+ClosRouting route_none(ClosRun&) { return std::nullopt; }
+
+ClosRouting route_static(ClosRun& run) { return std::move(run.start); }
+
+ClosRouting route_ecmp(ClosRun& run) { return ecmp_routing(run.net, run.flows, run.rng); }
+
+ClosRouting route_greedy(ClosRun& run) {
+  return greedy_routing(run.net, run.flows, as_demands(run.macro));
+}
+
+/// The hill climbers start from the given assignment, or from greedy.
+MiddleAssignment climb_start(ClosRun& run) {
+  return run.start.empty() ? *route_greedy(run) : std::move(run.start);
+}
+
+ClosRouting route_local_search(ClosRun& run) {
+  return congestion_local_search(run.net, run.flows, as_demands(run.macro), climb_start(run),
+                                 {run.spec.routing.max_moves});
+}
+
+ClosRouting route_lex_climb(ClosRun& run) {
+  return lex_max_min_local_search(run.net, run.flows, climb_start(run),
+                                  {run.spec.routing.max_moves})
+      .middles;
+}
+
+ClosRouting route_tput_climb(ClosRun& run) {
+  return throughput_max_min_local_search(run.net, run.flows, climb_start(run),
+                                         {run.spec.routing.max_moves})
+      .middles;
+}
+
+ClosRouting route_doom(ClosRun& run) { return doom_switch(run.net, run.flows).middles; }
+
+ClosRouting route_lp_round(ClosRun& run) {
+  const SplittableMaxMin splittable = splittable_max_min(run.net, run.ms, run.specs);
+  return round_splittable_best_of(run.net, run.flows, splittable, run.rng,
+                                  run.spec.routing.attempts)
+      .middles;
+}
+
+template <ExactRoutingResult (*Search)(const ClosNetwork&, const FlowSet&,
+                                       const ExhaustiveOptions&)>
+ClosRouting route_exhaustive(ClosRun& run) {
+  const RoutingSpec& routing = run.spec.routing;
+  ExhaustiveOptions options;
+  if (routing.max_routings != 0) options.max_routings = routing.max_routings;
+  options.fix_first_flow = routing.fix_first_flow;
+  options.num_threads = routing.threads;
+  options.prune_throughput_bound = routing.prune_throughput_bound;
+  const ExactRoutingResult exact = Search(run.net, run.flows, options);
+  run.result.search = SearchStats{exact.routings_evaluated, exact.waterfill_invocations};
+  return exact.middles;
+}
+
+/// Feasibility of the instance's declared target rates (§4.1); flows without
+/// a declared rate target their macro-switch rate.
+ClosRouting route_replicate(ClosRun& run) {
+  std::vector<Rational> rates;
+  rates.reserve(run.flows.size());
+  for (FlowIndex f = 0; f < run.flows.size(); ++f) {
+    const bool declared = f < run.targets.size() && run.targets[f].has_value();
+    rates.push_back(declared ? *run.targets[f] : run.macro.rate(f));
+  }
+  const ReplicationResult rep = find_feasible_routing(run.net, run.flows, rates);
+  ReplicationStats stats;
+  stats.feasible = rep.feasible;
+  stats.nodes_explored = rep.nodes_explored;
+  if (rep.routing.has_value()) stats.witness = *rep.routing;
+  run.result.replication = stats;
+  return std::nullopt;
+}
+
+FatTreeRouting fattree_none(FatTreeRun&) { return std::nullopt; }
+
+PathCandidates fattree_paths(const FatTreeRun& run) {
+  PathCandidates candidates;
+  candidates.reserve(run.flows.size());
+  for (const Flow& flow : run.flows) candidates.push_back(run.ft.paths(flow.src, flow.dst));
+  return candidates;
+}
+
+FatTreeRouting fattree_ecmp(FatTreeRun& run) { return ecmp_paths(fattree_paths(run), run.rng); }
+
+FatTreeRouting fattree_greedy(FatTreeRun& run) {
+  return greedy_paths(run.ft.topology(), fattree_paths(run), as_demands(run.macro));
+}
+
+FatTreeRouting fattree_local_search(FatTreeRun& run) {
+  const PathCandidates candidates = fattree_paths(run);
+  const std::vector<double> demands = as_demands(run.macro);
+  return congestion_local_search_paths(run.ft.topology(), candidates, demands,
+                                       greedy_paths(run.ft.topology(), candidates, demands),
+                                       run.spec.routing.max_moves);
+}
+
+// The one list of routing policies. Keys are checked in the spec parser;
+// values are range-checked there for every policy alike.
+constexpr Policy kPolicies[] = {
+    {"none", {"policy"}, false, route_none, fattree_none},
+    {"static", {"policy", "start", "reroute_dead"}, true, route_static, nullptr},
+    {"ecmp", {"policy", "seed"}, false, route_ecmp, fattree_ecmp},
+    {"greedy", {"policy"}, false, route_greedy, fattree_greedy},
+    {"local_search", {"policy", "max_moves", "start", "reroute_dead"}, false,
+     route_local_search, fattree_local_search},
+    {"lex_climb", {"policy", "max_moves", "start", "reroute_dead"}, false, route_lex_climb,
+     nullptr},
+    {"tput_climb", {"policy", "max_moves", "start", "reroute_dead"}, false,
+     route_tput_climb, nullptr},
+    {"doom", {"policy"}, false, route_doom, nullptr},
+    {"lp_round", {"policy", "seed", "attempts"}, false, route_lp_round, nullptr},
+    {"exhaustive_lex", {"policy", "threads", "fix_first_flow", "max_routings"}, false,
+     route_exhaustive<lex_max_min_exhaustive>, nullptr},
+    {"exhaustive_tput",
+     {"policy", "threads", "prune_throughput_bound", "fix_first_flow", "max_routings"},
+     false, route_exhaustive<throughput_max_min_exhaustive>, nullptr},
+    {"replicate", {"policy"}, false, route_replicate, nullptr},
+};
+
+/// The policy an evaluation runs. Parsed specs always name a row; a spec
+/// built in code may not.
+const Policy& policy_of(const ScenarioSpec& spec) {
+  const Policy* policy = find_policy(spec.routing.policy);
+  if (policy == nullptr) fail("unknown routing policy '" + spec.routing.policy + "'");
+  return *policy;
+}
+
+/// The routing policy's Rng: a seed of its own, or the workload's stream.
+Rng policy_rng(const ScenarioSpec& spec, Rng& workload_rng) {
+  return spec.routing.seed.has_value() ? Rng(*spec.routing.seed) : std::move(workload_rng);
+}
+
+Allocation<Rational> allocate(const ScenarioSpec& spec, const Topology& topo,
+                              const FlowSet& flows, const Routing& routing) {
+  return spec.objective == "maxmin_lp" ? max_min_fair_lp<Rational>(topo, flows, routing)
+                                       : max_min_fair<Rational>(topo, flows, routing);
+}
+
 ScenarioResult evaluate_fattree(const ScenarioSpec& spec) {
+  const Policy& policy = policy_of(spec);
+  if (policy.fattree == nullptr) {
+    fail("policy '" + spec.routing.policy + "' is not evaluable on a fat-tree topology");
+  }
   const FatTree ft(spec.topology.fattree_k);
   const Fabric fabric{ft.num_edge_switches(), ft.servers_per_edge()};
   Rng rng(spec.workload.seed);
@@ -125,58 +281,31 @@ ScenarioResult evaluate_fattree(const ScenarioSpec& spec) {
   result.num_flows = specs.size();
   result.macro_rates = macro.rates();
   result.macro_throughput = macro.throughput();
-  if (spec.routing.policy == "none") return result;
 
   const FlowSet flows = instantiate(ft, specs);
-  PathCandidates candidates;
-  candidates.reserve(flows.size());
-  for (const Flow& flow : flows) candidates.push_back(ft.paths(flow.src, flow.dst));
-
-  Rng policy_rng = spec.routing.seed.has_value() ? Rng(*spec.routing.seed)
-                                                 : std::move(rng);
-  Routing routing;
-  const std::vector<double> demands = as_demands(macro);
-  if (spec.routing.policy == "ecmp") {
-    routing = ecmp_paths(candidates, policy_rng);
-  } else if (spec.routing.policy == "greedy") {
-    routing = greedy_paths(ft.topology(), candidates, demands);
-  } else {
-    routing = congestion_local_search_paths(ft.topology(), candidates, demands,
-                                            greedy_paths(ft.topology(), candidates, demands),
-                                            spec.routing.max_moves);
-  }
-  const auto alloc = spec.objective == "maxmin_lp"
-                         ? max_min_fair_lp<Rational>(ft.topology(), flows, routing)
-                         : max_min_fair<Rational>(ft.topology(), flows, routing);
-  fill_routed(result, alloc);
+  FatTreeRun run{spec, ft, flows, macro, policy_rng(spec, rng)};
+  const std::optional<Routing> routing = policy.fattree(run);
+  if (routing.has_value()) fill_routed(result, allocate(spec, ft.topology(), flows, *routing));
   return result;
 }
 
-ScenarioResult evaluate_clos(const ScenarioSpec& spec, const WarmHints& hints = {}) {
+ScenarioResult evaluate_clos(const ScenarioSpec& spec) {
+  const Policy& policy = policy_of(spec);
   const Fabric fabric{spec.topology.params.num_tors, spec.topology.params.servers_per_tor};
   Rng rng(spec.workload.seed);
   std::vector<std::optional<Rational>> targets;
-  // Always generated, even under a warm start: seedless seeded policies
-  // continue this Rng stream, and the flow collection itself is needed.
   const FlowCollection specs = make_workload(spec.workload, fabric, rng, targets);
 
   // The macro reference is always the *pristine* macro-switch: degraded-vs-
-  // ideal ratios are the whole point of the fault studies.
+  // ideal ratios are the whole point of the fault studies. Under "none" it is
+  // the answer itself, so the objective picks its solver.
   const MacroSwitch ms(MacroSwitch::Params{spec.topology.params.num_tors,
                                            spec.topology.params.servers_per_tor,
                                            spec.topology.params.link_capacity});
-  const auto cold_macro = [&]() {
-    const FlowSet ms_flows = instantiate(ms, specs);
-    return spec.objective == "maxmin_lp" && spec.routing.policy == "none"
-               ? max_min_fair_lp<Rational>(ms.topology(), ms_flows,
-                                           macro_routing(ms, ms_flows))
-               : max_min_fair<Rational>(ms, ms_flows);
-  };
-  // Replaying the base macro is exact: the projection matched, so the base
-  // was computed over this very flow collection (LP and water-fill agree on
-  // the unique allocation, so the base's objective does not matter).
-  const auto macro = hints.reuse_macro ? Allocation<Rational>(hints.base->macro_rates)
-                                       : cold_macro();
+  const FlowSet ms_flows = instantiate(ms, specs);
+  const auto macro = policy.clos == route_none
+                         ? allocate(spec, ms.topology(), ms_flows, macro_routing(ms, ms_flows))
+                         : max_min_fair<Rational>(ms, ms_flows);
 
   ScenarioResult result;
   result.num_flows = specs.size();
@@ -207,27 +336,8 @@ ScenarioResult evaluate_clos(const ScenarioSpec& spec, const WarmHints& hints = 
     }
   }
   result.surviving_middles = static_cast<int>(fault::surviving_middles(net).size());
-  if (spec.routing.policy == "none") return result;
 
   const FlowSet flows = instantiate(net, specs);
-  const std::string& policy = spec.routing.policy;
-
-  if (policy == "replicate") {
-    std::vector<Rational> rates;
-    rates.reserve(flows.size());
-    for (FlowIndex f = 0; f < flows.size(); ++f) {
-      const bool declared = f < targets.size() && targets[f].has_value();
-      rates.push_back(declared ? *targets[f] : macro.rate(f));
-    }
-    const ReplicationResult rep = find_feasible_routing(net, flows, rates);
-    ReplicationStats stats;
-    stats.feasible = rep.feasible;
-    stats.nodes_explored = rep.nodes_explored;
-    if (rep.routing.has_value()) stats.witness = *rep.routing;
-    result.replication = stats;
-    return result;
-  }
-
   MiddleAssignment start = spec.routing.start;
   if (!start.empty()) {
     if (start.size() != flows.size()) {
@@ -242,74 +352,26 @@ ScenarioResult evaluate_clos(const ScenarioSpec& spec, const WarmHints& hints = 
     }
   }
 
-  Rng policy_rng = spec.routing.seed.has_value() ? Rng(*spec.routing.seed)
-                                                 : std::move(rng);
-  MiddleAssignment middles;
-  const auto greedy_start = [&]() {
-    return greedy_routing(net, flows, as_demands(macro));
-  };
-  if (policy == "static") {
-    middles = std::move(start);
-  } else if (policy == "ecmp") {
-    middles = ecmp_routing(net, flows, policy_rng);
-  } else if (policy == "greedy") {
-    middles = greedy_start();
-  } else if (policy == "local_search") {
-    LocalSearchOptions options;
-    options.max_moves = spec.routing.max_moves;
-    middles = congestion_local_search(net, flows, as_demands(macro),
-                                      start.empty() ? greedy_start() : std::move(start),
-                                      options);
-  } else if (policy == "lex_climb" || policy == "tput_climb") {
-    LocalSearchOptions options;
-    options.max_moves = spec.routing.max_moves;
-    MiddleAssignment from = start.empty() ? greedy_start() : std::move(start);
-    middles = policy == "lex_climb"
-                  ? lex_max_min_local_search(net, flows, std::move(from), options).middles
-                  : throughput_max_min_local_search(net, flows, std::move(from), options)
-                        .middles;
-  } else if (policy == "doom") {
-    middles = doom_switch(net, flows).middles;
-  } else if (policy == "lp_round") {
-    const SplittableMaxMin splittable = splittable_max_min(net, ms, specs);
-    middles = round_splittable_best_of(net, flows, splittable, policy_rng,
-                                       spec.routing.attempts)
-                  .middles;
-  } else if (policy == "exhaustive_lex" || policy == "exhaustive_tput") {
-    ExhaustiveOptions options;
-    if (spec.routing.max_routings != 0) options.max_routings = spec.routing.max_routings;
-    options.fix_first_flow = spec.routing.fix_first_flow;
-    options.num_threads = spec.routing.threads;
-    options.prune_throughput_bound = spec.routing.prune_throughput_bound;
-    const ExactRoutingResult exact =
-        policy == "exhaustive_lex" ? lex_max_min_exhaustive(net, flows, options)
-                                   : throughput_max_min_exhaustive(net, flows, options);
-    result.search = SearchStats{exact.routings_evaluated, exact.waterfill_invocations};
-    middles = exact.middles;
-  } else {
-    fail("policy '" + policy + "' is not evaluable on a Clos topology");
-  }
-
-  // Seed the final allocation with the base result's rates when available:
-  // the bottleneck certifier accepts them only if they are max-min fair on
-  // the *patched* routing, and the max-min allocation is unique, so an
-  // accepted seed is the cold answer verbatim.
-  const bool seedable = hints.base != nullptr && hints.base->routed;
-  const Routing routing_paths = expand_routing(net, flows, middles);
-  const auto alloc =
-      spec.objective == "maxmin_lp"
-          ? (seedable ? max_min_fair_lp_seeded(net.topology(), flows, routing_paths,
-                                               hints.base->rates)
-                      : max_min_fair_lp<Rational>(net.topology(), flows, routing_paths))
-          : (seedable ? max_min_fair_seeded(net.topology(), flows, routing_paths,
-                                            hints.base->rates)
-                      : max_min_fair<Rational>(net.topology(), flows, routing_paths));
-  fill_routed(result, alloc);
-  result.middles = std::move(middles);
+  ClosRun run{spec, net, ms, specs, targets, macro, flows, std::move(start),
+              policy_rng(spec, rng), result};
+  std::optional<MiddleAssignment> middles = policy.clos(run);
+  if (!middles.has_value()) return result;
+  fill_routed(result, allocate(spec, net.topology(), flows,
+                               expand_routing(net, flows, *middles)));
+  result.middles = std::move(*middles);
   return result;
 }
 
 }  // namespace
+
+std::span<const Policy> policies() { return kPolicies; }
+
+const Policy* find_policy(std::string_view name) {
+  for (const Policy& policy : kPolicies) {
+    if (policy.name == name) return &policy;
+  }
+  return nullptr;
+}
 
 ScenarioResult evaluate_scenario(const ScenarioSpec& spec) {
   OBS_SPAN("svc.evaluate");
@@ -324,22 +386,14 @@ ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
   // Objective-only switch: routing search never reads the objective and the
   // exact LP and water-fill compute the same unique allocation, so the base
   // result *is* the cold result of the patched spec.
-  {
-    ScenarioSpec probe = spec;
-    probe.objective = base_spec.objective;
-    if (probe.canonical() == base_spec.canonical()) {
-      OBS_COUNTER_INC("svc.delta_result_reuses");
-      return base_result;
-    }
+  ScenarioSpec probe = spec;
+  probe.objective = base_spec.objective;
+  if (probe.canonical() == base_spec.canonical()) {
+    OBS_COUNTER_INC("svc.delta_result_reuses");
+    return base_result;
   }
-  OBS_SPAN("svc.evaluate");
-  OBS_COUNTER_INC("svc.evaluations");
   OBS_COUNTER_INC("svc.delta_warm_starts");
-  if (spec.topology.kind == "fattree") return evaluate_fattree(spec);
-  WarmHints hints;
-  hints.base = &base_result;
-  hints.reuse_macro = macro_projection(spec) == macro_projection(base_spec);
-  return evaluate_clos(spec, hints);
+  return evaluate_scenario(spec);
 }
 
 DeltaResolution resolve_delta(

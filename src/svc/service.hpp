@@ -29,24 +29,20 @@ namespace closfair::svc {
 /// "static" start of the wrong length. Wrapped in the svc.evaluate span.
 [[nodiscard]] ScenarioResult evaluate_scenario(const ScenarioSpec& spec);
 
-/// Evaluate `spec` warm-started from a base scenario and its result.
-/// Byte-identity with evaluate_scenario(spec) is structural, not asserted:
-/// when only the objective changed, the base result is returned wholesale
-/// (routing search is objective-independent and the exact LP and water-fill
-/// compute the same unique allocation — svc.delta_result_reuses); otherwise
-/// the base's macro reference is replayed when topology+workload are
-/// untouched, and the base rates seed the final allocation, accepted only
-/// when the Lemma 2.2 bottleneck certifier confirms them on the *patched*
-/// instance (waterfill.seed_hits / lp.seed_hits) and recomputed cold
-/// otherwise. Bumps svc.delta_warm_starts when it actually evaluates.
+/// Evaluate `spec`, a delta of a base scenario whose result is known. When
+/// only the objective changed, the base result is returned wholesale:
+/// routing search never reads the objective, and the exact LP and
+/// water-fill compute the same unique allocation (svc.delta_result_reuses).
+/// Any other patch is evaluate_scenario(spec), counted as
+/// svc.delta_warm_starts. Either way the bytes equal a cold evaluation's.
 [[nodiscard]] ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
                                                     const ScenarioSpec& base_spec,
                                                     const ScenarioResult& base_result);
 
 /// Outcome of resolving a DeltaRequest: the patched spec, plus — when the
 /// base was found in the cache — a pinned handle on the base entry and the
-/// parsed base spec for warm-starting. A non-empty `error` means resolution
-/// failed (unknown base address, or a patch that does not apply).
+/// parsed base spec for evaluate_scenario_warm. A non-empty `error` means
+/// resolution failed (unknown base address, or a patch that does not apply).
 struct DeltaResolution {
   ScenarioSpec spec;
   std::optional<ResultCache::BasePin> base;  ///< pin held across the warm evaluation

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "io/text_format.hpp"
+#include "svc/policy.hpp"
 
 namespace closfair::svc {
 namespace {
@@ -307,50 +308,22 @@ Json workload_json(const WorkloadSpec& wl) {
 
 // ------------------------------------------------------------------- routing
 
-bool policy_known(const std::string& policy) {
-  static const char* kPolicies[] = {"none",      "static",       "ecmp",
-                                    "greedy",    "local_search", "lex_climb",
-                                    "tput_climb", "doom",        "lp_round",
-                                    "exhaustive_lex", "exhaustive_tput", "replicate"};
-  return std::find_if(std::begin(kPolicies), std::end(kPolicies),
-                      [&](const char* p) { return policy == p; }) != std::end(kPolicies);
-}
-
 RoutingSpec parse_routing(const Json& obj) {
   RoutingSpec routing;
-  const Json* policy = obj.find("policy");
-  routing.policy = policy == nullptr ? "greedy" : get_string(*policy, "policy");
-  if (!policy_known(routing.policy)) {
-    fail("routing: unknown policy '" + routing.policy + "'");
-  }
+  const Json* policy_name = obj.find("policy");
+  routing.policy = policy_name == nullptr ? "greedy" : get_string(*policy_name, "policy");
+  const Policy* policy = find_policy(routing.policy);
+  if (policy == nullptr) fail("routing: unknown policy '" + routing.policy + "'");
+  check_keys(obj, policy->keys, "routing");
 
-  const std::string& p = routing.policy;
-  if (p == "none" || p == "greedy" || p == "doom") {
-    check_keys(obj, {"policy"}, "routing");
-  } else if (p == "ecmp") {
-    check_keys(obj, {"policy", "seed"}, "routing");
-  } else if (p == "static") {
-    check_keys(obj, {"policy", "start", "reroute_dead"}, "routing");
+  if (policy->requires_start) {
     routing.start = get_middles(require(obj, "start", "routing"), "start");
-  } else if (p == "local_search" || p == "lex_climb" || p == "tput_climb") {
-    check_keys(obj, {"policy", "max_moves", "start", "reroute_dead"}, "routing");
-    const Json* start = obj.find("start");
-    if (start != nullptr) routing.start = get_middles(*start, "start");
-  } else if (p == "lp_round") {
-    check_keys(obj, {"policy", "seed", "attempts"}, "routing");
-    const std::int64_t attempts = get_int_or(obj, "attempts", 8);
-    if (attempts < 1) fail("routing: attempts must be >= 1");
-    routing.attempts = static_cast<std::size_t>(attempts);
-  } else if (p == "exhaustive_lex") {
-    check_keys(obj, {"policy", "threads", "fix_first_flow", "max_routings"}, "routing");
-  } else if (p == "exhaustive_tput") {
-    check_keys(obj, {"policy", "threads", "prune_throughput_bound", "fix_first_flow",
-                     "max_routings"},
-               "routing");
-  } else if (p == "replicate") {
-    check_keys(obj, {"policy"}, "routing");
+  } else if (const Json* start = obj.find("start"); start != nullptr) {
+    routing.start = get_middles(*start, "start");
   }
-
+  const std::int64_t attempts = get_int_or(obj, "attempts", 8);
+  if (attempts < 1) fail("routing: attempts must be >= 1");
+  routing.attempts = static_cast<std::size_t>(attempts);
   if (obj.find("seed") != nullptr) routing.seed = get_u64_or(obj, "seed", 0);
   const std::int64_t max_moves = get_int_or(obj, "max_moves", 10'000);
   if (max_moves < 1) fail("routing: max_moves must be >= 1");
@@ -362,9 +335,10 @@ RoutingSpec parse_routing(const Json& obj) {
   routing.fix_first_flow = get_bool_or(obj, "fix_first_flow", true);
   routing.max_routings = get_u64_or(obj, "max_routings", 0);
   routing.reroute_dead = get_bool_or(obj, "reroute_dead", false);
-  if (routing.reroute_dead &&
-      !(p == "static" || p == "local_search" || p == "lex_climb" || p == "tput_climb")) {
-    fail("routing: reroute_dead applies only to start-based policies");
+  // Without a start the flag would be ignored yet still split the content
+  // address of an otherwise identical scenario.
+  if (routing.reroute_dead && routing.start.empty()) {
+    fail("routing: reroute_dead requires 'start'");
   }
   return routing;
 }
@@ -561,9 +535,12 @@ ScenarioSpec ScenarioSpec::from_json(const Json& json) {
     spec.routing.policy = "none";
   }
   if (spec.topology.kind == "fattree") {
-    const std::string& p = spec.routing.policy;
-    if (p != "none" && p != "ecmp" && p != "greedy" && p != "local_search") {
-      fail("fattree topologies support policies none/ecmp/greedy/local_search");
+    if (find_policy(spec.routing.policy)->fattree == nullptr) {
+      std::string names;
+      for (const Policy& p : policies()) {
+        if (p.fattree != nullptr) names += (names.empty() ? "" : "/") + std::string{p.name};
+      }
+      fail("fattree topologies support policies " + names);
     }
     if (!spec.routing.start.empty()) fail("fattree routing takes no 'start'");
   }

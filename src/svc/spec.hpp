@@ -62,17 +62,14 @@ struct WorkloadSpec {
   std::string instance;    ///< canonicalized text-format instance, or empty
 };
 
-/// How flows are routed. Policies follow the library's algorithm layer:
-/// "none" (macro-only), "static" (the given `start` assignment verbatim),
-/// "ecmp", "greedy", "local_search" (congestion descent from greedy),
-/// "lex_climb" / "tput_climb" (hill climbing from `start` or greedy),
-/// "doom", "lp_round", "exhaustive_lex" / "exhaustive_tput" (the
-/// symmetry-reduced exact engine), and "replicate" (feasibility of the
-/// instance's target rates, §4.1).
+/// How flows are routed. `policy` names a row of the routing-policy table
+/// (svc/policy.hpp, rows in svc/service.cpp), which fixes the keys the
+/// routing group accepts and the algorithm each fabric runs; docs/SERVICE.md
+/// lists the policies. `reroute_dead` requires a `start`.
 ///
-/// When `seed` is absent, seeded policies (ecmp, lp_round) continue the
-/// workload generator's Rng stream — the convention of the sweep benches,
-/// which draw the workload and the routing from one stream.
+/// When `seed` is absent, seeded policies continue the workload generator's
+/// Rng stream — the convention of the sweep benches, which draw the workload
+/// and the routing from one stream.
 struct RoutingSpec {
   std::string policy = "greedy";
   std::optional<std::uint64_t> seed;

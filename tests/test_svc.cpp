@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adversarial.hpp"
@@ -110,6 +112,188 @@ TEST(SvcSpec, StrictParsingRejectsBadSpecs) {
   // Malformed embedded instance text surfaces the text-format error.
   EXPECT_THROW(parse_spec(R"({"workload":{"instance":"clos n=2\nflow oops\n"}})"),
                svc::SpecError);
+}
+
+// ------------------------------------------------------------- policy matrix
+
+/// Every routing key besides "policy", in canonical emission order, each with
+/// a non-default value so an accepted key always survives canonicalization.
+const std::pair<std::string, std::string> kRoutingKeys[] = {
+    {"seed", "7"},
+    {"max_moves", "5"},
+    {"threads", "2"},
+    {"prune_throughput_bound", "false"},
+    {"fix_first_flow", "false"},
+    {"max_routings", "100"},
+    {"attempts", "3"},
+    {"start", "[1,2]"},
+    {"reroute_dead", "true"},
+};
+
+/// The routing keys each policy accepts besides "policy", and whether it
+/// runs on a fat-tree.
+const struct PolicyRow {
+  std::string policy;
+  std::vector<std::string> keys;
+  bool fattree;
+} kPolicyMatrix[] = {
+    {"none", {}, true},
+    {"static", {"start", "reroute_dead"}, false},
+    {"ecmp", {"seed"}, true},
+    {"greedy", {}, true},
+    {"local_search", {"max_moves", "start", "reroute_dead"}, true},
+    {"lex_climb", {"max_moves", "start", "reroute_dead"}, false},
+    {"tput_climb", {"max_moves", "start", "reroute_dead"}, false},
+    {"doom", {}, false},
+    {"lp_round", {"seed", "attempts"}, false},
+    {"exhaustive_lex", {"threads", "fix_first_flow", "max_routings"}, false},
+    {"exhaustive_tput",
+     {"threads", "prune_throughput_bound", "fix_first_flow", "max_routings"},
+     false},
+    {"replicate", {}, false},
+};
+
+bool accepts(const PolicyRow& row, const std::string& key) {
+  return std::find(row.keys.begin(), row.keys.end(), key) != row.keys.end();
+}
+
+/// A canonical-order routing group carrying `key` (none when empty). "static"
+/// always carries its required start, and an accepted reroute_dead carries one
+/// too, so the only error left is the one under test.
+std::string routing_text(const PolicyRow& row, const std::string& key) {
+  std::string text = R"({"policy":")" + row.policy + '"';
+  for (const auto& [name, value] : kRoutingKeys) {
+    if (name == key && key != "start" && key != "reroute_dead") {
+      text += ",\"" + name + "\":" + value;
+    }
+  }
+  if (row.policy == "static" || key == "start" ||
+      (key == "reroute_dead" && accepts(row, key))) {
+    text += R"(,"start":[1,2])";
+  }
+  if (key == "reroute_dead") text += R"(,"reroute_dead":true)";
+  return text + "}";
+}
+
+std::string spec_text(const std::string& topology, const std::string& routing) {
+  return R"({"topology":)" + topology + R"(,"workload":{"generator":"permutation"})" +
+         (routing.empty() ? "" : R"(,"routing":)" + routing) + "}";
+}
+
+std::string spec_error(const std::string& text) {
+  try {
+    (void)parse_spec(text);
+  } catch (const svc::SpecError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The spec parses, its canonical bytes are `expected`, and reparsing them is
+/// a fixed point.
+void expect_canonical(const std::string& text, const std::string& expected) {
+  const svc::ScenarioSpec spec = parse_spec(text);
+  EXPECT_EQ(spec.canonical(), expected) << text;
+  EXPECT_EQ(svc::ScenarioSpec::from_json(spec.to_json()).canonical(), expected) << text;
+}
+
+TEST(SvcSpec, PolicyMatrixOnClos) {
+  const std::string clos = R"({"kind":"clos","n":2})";
+  for (const PolicyRow& row : kPolicyMatrix) {
+    const std::string bare = routing_text(row, "");
+    if (row.policy == "static") {
+      EXPECT_EQ(spec_error(spec_text(clos, R"({"policy":"static"})")),
+                "routing requires 'start'");
+    } else {
+      // The all-default routing group canonicalizes away.
+      expect_canonical(spec_text(clos, bare),
+                       spec_text(clos, row.policy == "greedy" ? "" : bare));
+    }
+    for (const auto& [key, value] : kRoutingKeys) {
+      const std::string text = spec_text(clos, routing_text(row, key));
+      if (accepts(row, key)) {
+        expect_canonical(text, text);
+      } else {
+        EXPECT_EQ(spec_error(text), "unknown key '" + key + "' in routing") << text;
+      }
+    }
+  }
+  EXPECT_EQ(spec_error(spec_text(clos, R"({"policy":"magic"})")),
+            "routing: unknown policy 'magic'");
+}
+
+TEST(SvcSpec, PolicyMatrixOnFatTree) {
+  const std::string fattree = R"({"kind":"fattree","k":4})";
+  for (const PolicyRow& row : kPolicyMatrix) {
+    const std::string bare = routing_text(row, "");
+    if (row.fattree) {
+      expect_canonical(spec_text(fattree, bare),
+                       spec_text(fattree, row.policy == "greedy" ? "" : bare));
+    } else {
+      EXPECT_EQ(spec_error(spec_text(fattree, bare)),
+                "fattree topologies support policies none/ecmp/greedy/local_search");
+    }
+    for (const auto& [key, value] : kRoutingKeys) {
+      const std::string text = spec_text(fattree, routing_text(row, key));
+      if (!accepts(row, key)) {
+        EXPECT_EQ(spec_error(text), "unknown key '" + key + "' in routing") << text;
+      } else if (!row.fattree) {
+        EXPECT_EQ(spec_error(text),
+                  "fattree topologies support policies none/ecmp/greedy/local_search")
+            << text;
+      } else if (key == "start" || key == "reroute_dead") {
+        EXPECT_EQ(spec_error(text), "fattree routing takes no 'start'") << text;
+      } else {
+        expect_canonical(text, text);
+      }
+    }
+  }
+}
+
+TEST(SvcSpec, PolicyMatrixOnMacro) {
+  const std::string macro = R"({"kind":"macro","tors":4,"servers":2})";
+  const std::string unique_routing =
+      "macro topologies have a unique routing; use policy 'none' or drop 'routing'";
+  for (const PolicyRow& row : kPolicyMatrix) {
+    const std::string bare = routing_text(row, "");
+    if (row.policy == "none") {
+      expect_canonical(spec_text(macro, bare), spec_text(macro, ""));
+    } else {
+      EXPECT_EQ(spec_error(spec_text(macro, bare)), unique_routing) << bare;
+    }
+    for (const auto& [key, value] : kRoutingKeys) {
+      const std::string text = spec_text(macro, routing_text(row, key));
+      EXPECT_EQ(spec_error(text),
+                accepts(row, key) ? unique_routing : "unknown key '" + key + "' in routing")
+          << text;
+    }
+  }
+}
+
+TEST(SvcSpec, RerouteDeadRequiresStart) {
+  // Without a start the flag has nothing to repair; accepting it would give
+  // the same scenario a second content address.
+  for (const char* topology : {R"("topology":{"kind":"clos","n":3})",
+                               R"("topology":{"kind":"fattree","k":4})"}) {
+    const std::string text = std::string{"{"} + topology +
+                             R"(,"workload":{"generator":"uniform","count":8},)"
+                             R"("routing":{"policy":"local_search","reroute_dead":true}})";
+    EXPECT_EQ(spec_error(text), "routing: reroute_dead requires 'start'") << text;
+  }
+  for (const char* policy : {"lex_climb", "tput_climb"}) {
+    EXPECT_EQ(spec_error(spec_text(R"({"kind":"clos","n":2})",
+                                   std::string{R"({"policy":")"} + policy +
+                                       R"(","reroute_dead":true})")),
+              "routing: reroute_dead requires 'start'")
+        << policy;
+  }
+  // With a start the flag is kept, and an explicit false is the default.
+  const std::string clos = R"({"kind":"clos","n":2})";
+  expect_canonical(
+      spec_text(clos, R"({"policy":"lex_climb","start":[1,2],"reroute_dead":true})"),
+      spec_text(clos, R"({"policy":"lex_climb","start":[1,2],"reroute_dead":true})"));
+  expect_canonical(spec_text(clos, R"({"policy":"lex_climb","reroute_dead":false})"),
+                   spec_text(clos, R"({"policy":"lex_climb"})"));
 }
 
 TEST(SvcSpec, Fnv1a64KnownVectors) {
