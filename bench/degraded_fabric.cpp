@@ -5,10 +5,10 @@
 // The paper's impossibility results are proven on pristine Clos fabrics; this
 // harness asks how the same adversarial instances behave as middles die
 // (fault/fault.hpp worst-case outages). Parts A-C issue every cell as a
-// declarative ScenarioSpec through the closfair::svc service (the
+// declarative ScenarioSpec evaluated by svc::evaluate_scenario (the
 // adversarial flow sets ride inline as text-format instances, the outages as
-// fault.worst_case_outage), so the service path is pinned to the same exact
-// rational anchors as driving the library directly. Four parts:
+// fault.worst_case_outage), so the service's evaluation path is pinned to
+// the same exact rational anchors as driving the library directly. Four parts:
 //
 //   A. R2 starvation (Theorem 4.3): the type 3 flow's lex-max-min rate ratio
 //      vs its macro rate, for f = 0..n-2 failed middles. f = 0 must
@@ -81,12 +81,14 @@ std::vector<Rational> sorted_rates(const svc::ScenarioResult& r) {
   return s;
 }
 
-/// Evaluate one spec through the service; a failed cell is a harness bug.
-svc::ScenarioResult run(svc::Service& service, const svc::ScenarioSpec& spec,
-                        const std::string& what) {
-  const svc::BatchEntry entry = service.evaluate(spec);
-  check(entry.ok(), what + ": " + entry.error);
-  return entry.result;
+/// Evaluate one spec; a failed cell is a harness bug.
+svc::ScenarioResult run(const svc::ScenarioSpec& spec, const std::string& what) {
+  try {
+    return svc::evaluate_scenario(spec);
+  } catch (const std::exception& e) {
+    check(false, what + ": " + e.what());
+    return {};
+  }
 }
 
 }  // namespace
@@ -99,7 +101,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   obs::Registry::instance().reset();
-  svc::Service service(svc::ServiceOptions{2, 256});
 
   Json report = Json::object();
   report.set("bench", Json::string("degraded_fabric"));
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
       spec.routing.reroute_dead = true;
       spec.fault.worst_case_outage = f;
       const svc::ScenarioResult r =
-          run(service, spec, "A: cell (n=" + std::to_string(n) + ", f=" + std::to_string(f) + ")");
+          run(spec, "A: cell (n=" + std::to_string(n) + ", f=" + std::to_string(f) + ")");
 
       const FlowIndex type3 = r.num_flows - 1;
       const std::size_t rerouted = r.rerouted.value_or(0);
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
       spec.topology.params = ClosNetwork::Params{n, 2 * n, n, Rational{1}};
       spec.routing.policy = "replicate";
       const svc::ScenarioResult r =
-          run(service, spec, "B: cell n=" + std::to_string(n));
+          run(spec, "B: cell n=" + std::to_string(n));
 
       check(r.replication.has_value() && !r.replication->feasible,
             "B: macro rates unroutable on pristine C_" + std::to_string(n));
@@ -201,8 +202,7 @@ int main(int argc, char** argv) {
       // counters at every thread count. prune_throughput_bound is off —
       // early-exit overshoot is the one legitimately thread-dependent
       // counter, so the gate excludes it by construction. Each thread count
-      // is a distinct spec (threads is part of the content address), so all
-      // three actually evaluate — the cache cannot shortcut the gate.
+      // evaluates afresh; no cache sits between the gate and the search.
       bool threads_agree = true;
       svc::ScenarioResult lex_ref;
       svc::ScenarioResult tput_ref;
@@ -217,9 +217,9 @@ int main(int argc, char** argv) {
                                   std::to_string(g.k) + "), f=" + std::to_string(f) +
                                   ", threads=" + std::to_string(threads) + ")";
         spec.routing.policy = "exhaustive_lex";
-        const svc::ScenarioResult lex = run(service, spec, "C: lex cell" + where);
+        const svc::ScenarioResult lex = run(spec, "C: lex cell" + where);
         spec.routing.policy = "exhaustive_tput";
-        const svc::ScenarioResult tput = run(service, spec, "C: tput cell" + where);
+        const svc::ScenarioResult tput = run(spec, "C: tput cell" + where);
         if (threads == 1u) {
           lex_ref = lex;
           tput_ref = tput;

@@ -6,11 +6,10 @@
 // ratio, averaged over seeds. ECMP, greedy (macro demands), congestion local
 // search, and the lex hill-climbing heuristic are compared.
 //
-// Every cell is issued as a declarative ScenarioSpec through the
-// closfair::svc batch service (sharded workers + content-addressed cache) —
-// the numbers are identical to driving the routing stack directly, because
-// seedless seeded policies continue the workload generator's Rng stream
-// exactly as this bench historically did.
+// Every cell is issued as a declarative ScenarioSpec evaluated by
+// closfair::svc (evaluate_scenario) — the numbers are identical to driving
+// the routing stack directly, because seedless seeded policies continue the
+// workload generator's Rng stream exactly as this bench historically did.
 #include <algorithm>
 #include <iostream>
 #include <vector>
@@ -87,31 +86,21 @@ int main() {
                                 {"zipf1.1-64", 2}, {"hotspot50-64", 3}};
   const Algo algos[] = {{"ecmp", 0}, {"greedy", 1}, {"local-search", 2}, {"lex-climb", 3}};
 
-  // One batch of every cell; the service shards them over 4 workers.
-  std::vector<svc::ScenarioSpec> cells;
-  for (const auto& wl : workloads) {
-    for (const auto& algo : algos) {
-      for (int seed = 0; seed < seeds; ++seed) cells.push_back(make_cell(wl, algo, n, seed));
-    }
-  }
-  svc::Service service(svc::ServiceOptions{4, 256});
-  const std::vector<svc::BatchEntry> batch = service.evaluate_batch(cells);
-
   TextTable table({"workload", "algorithm", "min rate ratio", "mean rate ratio",
                    "throughput ratio"});
-  std::size_t cell = 0;
   for (const auto& wl : workloads) {
     for (const auto& algo : algos) {
       double min_ratio = 1.0;
       double sum_mean = 0.0;
       double sum_tput = 0.0;
-      for (int seed = 0; seed < seeds; ++seed, ++cell) {
-        const svc::BatchEntry& entry = batch[cell];
-        if (!entry.ok()) {
-          std::cerr << "cell failed: " << entry.error << '\n';
+      for (int seed = 0; seed < seeds; ++seed) {
+        svc::ScenarioResult r;
+        try {
+          r = svc::evaluate_scenario(make_cell(wl, algo, n, seed));
+        } catch (const std::exception& e) {
+          std::cerr << "cell failed: " << e.what() << '\n';
           return 1;
         }
-        const svc::ScenarioResult& r = entry.result;
         double worst = 1.0;
         double mean = 0.0;
         std::size_t counted = 0;

@@ -7,8 +7,8 @@
 //
 //   1. Byte identity: a mixed pipelined request stream (bare specs,
 //      envelopes, duplicates, a parse error, an evaluation error) returns
-//      responses byte-identical to the batch binary's, from fresh servers at
-//      1, 2, and 8 workers.
+//      responses byte-identical to batch mode's (wire::answer_batch), from
+//      fresh servers at 1, 2, and 8 workers.
 //   2. Latency under load: three load points (two open-loop Poisson paced,
 //      one unpaced pipeline blast) of a cold/warm/duplicate mix, reporting
 //      p50/p99/p999 latency and achieved RPS.
@@ -95,40 +95,6 @@ std::vector<std::string> mixed_request_lines() {
   lines.push_back(R"({"id":"boom","spec":)" + bad.to_json().dump() + "}");
   lines.push_back(lines[0]);            // envelope duplicate
   return lines;
-}
-
-/// The batch binary's answers for the same lines: the reference half of the
-/// byte-identity gate, computed in process exactly like run_batch().
-std::vector<std::string> batch_responses(const std::vector<std::string>& lines) {
-  std::vector<wire::Request> requests;
-  std::vector<svc::ScenarioSpec> specs;
-  std::vector<std::size_t> spec_of;
-  for (const std::string& line : lines) {
-    wire::Request request = wire::parse_request(line);
-    if (request.ok()) {
-      spec_of.push_back(specs.size());
-      specs.push_back(*request.spec);
-    } else {
-      spec_of.push_back(SIZE_MAX);
-    }
-    requests.push_back(std::move(request));
-  }
-  svc::Service service(svc::ServiceOptions{1, 512});
-  const std::vector<svc::BatchEntry> batch = service.evaluate_batch(specs);
-  std::vector<std::string> out;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (spec_of[i] == SIZE_MAX) {
-      out.push_back(wire::render_parse_error(requests[i].id, requests[i].error));
-      continue;
-    }
-    const svc::BatchEntry& entry = batch[spec_of[i]];
-    out.push_back(entry.ok()
-                      ? wire::render_result(requests[i].id, entry.hash, entry.cached,
-                                            entry.result)
-                      : wire::render_eval_error(requests[i].id, entry.hash,
-                                                entry.error));
-  }
-  return out;
 }
 
 // ------------------------------------------------------------- load points
@@ -313,8 +279,7 @@ obs::MetricsSnapshot filtered_snapshot() {
   std::uint64_t folded = 0;
   std::vector<obs::MetricsSnapshot::CounterValue> kept;
   for (const auto& c : snapshot.counters) {
-    if (c.name == "svc.cache_hits" || c.name == "wire.dedup_hits" ||
-        c.name == "svc.dedup_hits") {
+    if (c.name == "svc.cache_hits" || c.name == "wire.dedup_hits") {
       folded += c.value;
     } else {
       kept.push_back(c);
@@ -338,6 +303,11 @@ int main(int argc, char** argv) {
     std::cerr << "usage: serve_net [OUT.json]\n";
     return 2;
   }
+  // The batch-mode reference is computed before the registry reset: the
+  // gated snapshot counts the servers' work only.
+  const std::vector<std::string> lines = mixed_request_lines();
+  svc::Service reference_service(svc::ServiceOptions{1, 512});
+  const std::vector<std::string> expected = wire::answer_batch(reference_service, lines);
   obs::Registry::instance().reset();
 
   Json report = Json::object();
@@ -346,8 +316,6 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------- 1. byte identity
   std::cout << "=== wire server benchmark ===\n\n"
             << "--- byte identity vs batch mode (+ concurrent admin scraper) ---\n";
-  const std::vector<std::string> lines = mixed_request_lines();
-  const std::vector<std::string> expected = batch_responses(lines);
   TextTable table_id({"workers", "responses", "identical", "scrapes"});
   for (const unsigned workers : {1u, 2u, 8u}) {
     svc::Service service(svc::ServiceOptions{workers, 512});

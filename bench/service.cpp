@@ -1,34 +1,41 @@
-// service — batch-evaluation service benchmark (src/svc).
+// service — batch-evaluation service benchmark (src/svc through batch mode).
 //
 //   $ ./service [OUT.json]
 //
-// Drives a mixed batch of 100+ ScenarioSpec requests (stochastic Clos
+// Sends a mixed batch of 100+ ScenarioSpec request lines (stochastic Clos
 // sweeps, fat-tree cells, macro-only references, inline adversarial
 // instances with worst-case outages, replication feasibility, and exact
-// exhaustive-search cells) through svc::Service and gates the service's two
-// contracts:
+// exhaustive-search cells) through the service's batch request path,
+// wire::answer_batch, and gates its contracts:
 //
-//   1. Determinism: the full batch returns byte-identical responses (hash,
-//      cached flag, result JSON) from fresh services at 1, 2, and 8 workers,
-//      and in-batch duplicates resolve as dedup hits.
+//   1. Determinism: the full batch returns byte-identical response lines
+//      from fresh services at 1, 2, and 8 workers, and in-batch duplicates
+//      resolve as dedup hits.
 //   2. Cache efficacy: re-submitting a batch hits the content-addressed
-//      cache at >= 99%, and on the exhaustive-search subset the warm
-//      throughput is >= 10x the cold throughput.
+//      cache at >= 99%, and on the exhaustive-search subset warm requests
+//      cost <= 1/10 of cold ones.
 //   3. Deltas: every delta class (add-flow, remove-flow, fail-middle,
-//      derate-link, objective-switch) warm-starts to a result byte-identical
-//      to the cold evaluation of the patched spec at 1/2/8 workers, and the
-//      objective switch over an exhaustive-search base is >= 5x faster warm.
+//      derate-link, objective-switch) answers with the bytes of the patched
+//      spec's cold response at 1/2/8 workers, and the objective switch over
+//      an exhaustive-search base is >= 5x cheaper than cold.
 //
-// Emits BENCH_service.json (path overridable): scenarios/sec cold vs warm,
-// hit rates, the determinism digest, and the obs registry snapshot (svc.* /
-// waterfill.* / search.* counters) under a "metrics" key — scripts/bench.sh
-// diffs the deterministic counters against the committed baseline. Exits
-// non-zero if any gate fails.
+// Both timing gates compare interleaved best-of-N windows of process CPU
+// time, request line in to response line out. Emits BENCH_service.json
+// (path overridable): cold vs warm cost, hit rates, the determinism digest,
+// and the obs registry snapshot of the scripted request phases (svc.* /
+// wire.* / waterfill.* / search.* counters) under a "metrics" key —
+// scripts/bench.sh diffs the deterministic counters against the committed
+// baseline. Exits non-zero if any gate fails.
+#include <time.h>
+
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adversarial.hpp"
@@ -38,6 +45,7 @@
 #include "svc/service.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
+#include "wire/server.hpp"
 
 using namespace closfair;
 
@@ -178,7 +186,8 @@ std::vector<svc::ScenarioSpec> build_batch(std::size_t duplicates) {
         spec.workload.instance = instance;
         spec.topology.params = ClosNetwork::Params{n, 2 * n, n, Rational{1}};
         spec.routing.policy = policy;
-        spec.routing.prune_throughput_bound = false;
+        // The prune is a throughput-search option; lex specs do not take it.
+        spec.routing.prune_throughput_bound = std::string(policy) == "exhaustive_lex";
         spec.fault.worst_case_outage = f;
         specs.push_back(spec);
       }
@@ -197,19 +206,44 @@ std::vector<svc::ScenarioSpec> exhaustive_subset(const std::vector<svc::Scenario
   return subset;
 }
 
-/// Byte-for-byte response transcript: what the determinism contract promises
-/// to be identical at every worker count.
-std::string digest(const std::vector<svc::BatchEntry>& entries) {
-  std::string out;
-  char hex[17];
-  for (const svc::BatchEntry& entry : entries) {
-    std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(entry.hash));
-    out += hex;
-    out += entry.cached ? "|hit|" : "|miss|";
-    out += entry.ok() ? entry.result.to_json().dump() : entry.error;
-    out += '\n';
+std::vector<std::string> as_lines(const std::vector<svc::ScenarioSpec>& specs) {
+  std::vector<std::string> lines;
+  for (const svc::ScenarioSpec& spec : specs) lines.push_back(spec.to_json().dump());
+  return lines;
+}
+
+bool has_result(const std::string& response) {
+  return response.find("\"result\":") != std::string::npos;
+}
+
+bool is_cached(const std::string& response) {
+  return response.find("\"cached\":true") != std::string::npos;
+}
+
+/// CPU time of the whole process: answer_batch evaluates on worker threads,
+/// and unlike wall time this does not grow while a thread is preempted.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// The timing gates' windows: kTimingReps of each side, alternating, best
+/// of each kept (the way perf_report times its water-fill gate). A hiccup
+/// inflates one window, not the minimum, and a change in machine load hits
+/// both sides alike. Each side returns the CPU seconds of its own timed
+/// section, so per-window set-up (a fresh or primed service) is not charged.
+constexpr int kTimingReps = 5;
+
+template <class Cold, class Warm>
+std::pair<double, double> best_interleaved(Cold cold, Warm warm) {
+  double cold_best = std::numeric_limits<double>::infinity();
+  double warm_best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kTimingReps; ++rep) {
+    cold_best = std::min(cold_best, cold());
+    warm_best = std::min(warm_best, warm());
   }
-  return out;
+  return {cold_best, warm_best};
 }
 
 }  // namespace
@@ -224,8 +258,9 @@ int main(int argc, char** argv) {
   obs::Registry::instance().reset();
 
   const std::size_t kDuplicates = 8;
-  const std::vector<svc::ScenarioSpec> batch = build_batch(kDuplicates);
-  const std::vector<svc::ScenarioSpec> exhaustive = exhaustive_subset(batch);
+  const std::vector<svc::ScenarioSpec> batch_specs = build_batch(kDuplicates);
+  const std::vector<std::string> batch = as_lines(batch_specs);
+  const std::vector<std::string> exhaustive = as_lines(exhaustive_subset(batch_specs));
   std::cout << "=== svc benchmark: " << batch.size() << " mixed requests ("
             << kDuplicates << " in-batch duplicates, " << exhaustive.size()
             << " exhaustive cells) ===\n\n";
@@ -243,33 +278,30 @@ int main(int argc, char** argv) {
   for (const unsigned workers : {1u, 2u, 8u}) {
     svc::Service service(svc::ServiceOptions{workers, 512});
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<svc::BatchEntry> entries = service.evaluate_batch(batch);
+    const std::vector<std::string> responses = wire::answer_batch(service, batch);
     const double secs = seconds_since(start);
     if (workers == 1u) cold_1worker = secs;
 
-    const std::string d = digest(entries);
-    const bool identical = reference.empty() || d == reference;
-    if (reference.empty()) reference = d;
+    std::string transcript;
+    for (const std::string& response : responses) transcript += response + '\n';
+    const bool identical = reference.empty() || transcript == reference;
+    if (reference.empty()) reference = transcript;
     check(identical, "determinism: " + std::to_string(workers) +
                          "-worker batch is byte-identical to the 1-worker batch");
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      check(entries[i].ok(), "request " + std::to_string(i) + " succeeds: " + entries[i].error);
+    check(responses.size() == batch.size(), "one response per request");
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      check(has_result(responses[i]), "request " + std::to_string(i) + " succeeds: " +
+                                          responses[i]);
     }
-    for (std::size_t i = batch.size() - kDuplicates; i < batch.size(); ++i) {
-      check(entries[i].cached, "duplicate request " + std::to_string(i) + " is a dedup hit");
+    for (std::size_t i = batch.size() - kDuplicates; i < responses.size(); ++i) {
+      check(is_cached(responses[i]), "duplicate request " + std::to_string(i) + " is a dedup hit");
     }
     table_d.add_row({std::to_string(workers), fmt_double(secs, 3),
                      fmt_double(static_cast<double>(batch.size()) / secs, 1),
                      identical ? "yes" : "NO"});
   }
   std::cout << table_d << '\n';
-  report.set("determinism_digest_fnv",
-             Json::string([&] {
-               char hex[17];
-               std::snprintf(hex, sizeof(hex), "%016llx",
-                             static_cast<unsigned long long>(svc::fnv1a64(reference)));
-               return std::string(hex);
-             }()));
+  report.set("determinism_digest_fnv", Json::string(svc::hash_hex(svc::fnv1a64(reference))));
   report.set("cold_seconds_1worker", Json::number(cold_1worker));
 
   // ------------------------------------------------- full-batch repeat hit rate
@@ -277,10 +309,10 @@ int main(int argc, char** argv) {
   double repeat_hit_rate = 0.0;
   {
     svc::Service service(svc::ServiceOptions{2, 512});
-    (void)service.evaluate_batch(batch);
-    const std::vector<svc::BatchEntry> warm = service.evaluate_batch(batch);
+    (void)wire::answer_batch(service, batch);
+    const std::vector<std::string> warm = wire::answer_batch(service, batch);
     std::size_t hits = 0;
-    for (const svc::BatchEntry& entry : warm) hits += entry.cached ? 1 : 0;
+    for (const std::string& response : warm) hits += is_cached(response) ? 1 : 0;
     repeat_hit_rate = static_cast<double>(hits) / static_cast<double>(warm.size());
     check(repeat_hit_rate >= 0.99, "repeat hit rate >= 99%");
     std::cout << "hit rate on resubmission: " << fmt_double(repeat_hit_rate * 100.0, 1)
@@ -288,57 +320,32 @@ int main(int argc, char** argv) {
   }
   report.set("repeat_hit_rate", Json::number(repeat_hit_rate));
 
-  // ----------------------------------------- cold vs warm on exhaustive cells
-  std::cout << "--- cache: cold vs warm throughput (exhaustive cells) ---\n";
+  // ------------------------------------- exhaustive cells: cold, then warm
+  const int kWarmRounds = 10;
+  double warm_hit_rate = 0.0;
   {
     svc::Service service(svc::ServiceOptions{2, 512});
-    const auto cold_start = std::chrono::steady_clock::now();
-    (void)service.evaluate_batch(exhaustive);
-    const double cold_secs = seconds_since(cold_start);
-
-    const int kWarmRounds = 10;
-    const auto warm_start = std::chrono::steady_clock::now();
+    (void)wire::answer_batch(service, exhaustive);
     std::size_t warm_hits = 0;
     for (int round = 0; round < kWarmRounds; ++round) {
-      const std::vector<svc::BatchEntry> warm = service.evaluate_batch(exhaustive);
-      for (const svc::BatchEntry& entry : warm) warm_hits += entry.cached ? 1 : 0;
+      for (const std::string& response : wire::answer_batch(service, exhaustive)) {
+        warm_hits += is_cached(response) ? 1 : 0;
+      }
     }
-    const double warm_secs = seconds_since(warm_start) / kWarmRounds;
-
-    const double cold_rate = static_cast<double>(exhaustive.size()) / cold_secs;
-    const double warm_rate = static_cast<double>(exhaustive.size()) / warm_secs;
-    const double speedup = warm_rate / cold_rate;
-    const double warm_hit_rate = static_cast<double>(warm_hits) /
-                                 static_cast<double>(exhaustive.size() * kWarmRounds);
+    warm_hit_rate = static_cast<double>(warm_hits) /
+                    static_cast<double>(exhaustive.size() * kWarmRounds);
     check(warm_hit_rate >= 0.99, "warm hit rate >= 99% on exhaustive cells");
-    check(speedup >= 10.0, "warm throughput >= 10x cold on exhaustive cells");
-
-    TextTable table_w({"phase", "seconds/batch", "scenarios/sec"});
-    table_w.add_row({"cold", fmt_double(cold_secs, 4), fmt_double(cold_rate, 1)});
-    table_w.add_row({"warm", fmt_double(warm_secs, 6), fmt_double(warm_rate, 1)});
-    std::cout << table_w << "warm/cold speedup: " << fmt_double(speedup, 1)
-              << "x, warm hit rate " << fmt_double(warm_hit_rate * 100.0, 1) << "%\n\n";
-
-    Json cw = Json::object();
-    cw.set("cells", Json::number(static_cast<std::int64_t>(exhaustive.size())));
-    cw.set("cold_seconds", Json::number(cold_secs));
-    cw.set("warm_seconds", Json::number(warm_secs));
-    cw.set("cold_scenarios_per_sec", Json::number(cold_rate));
-    cw.set("warm_scenarios_per_sec", Json::number(warm_rate));
-    cw.set("warm_speedup", Json::number(speedup));
-    cw.set("warm_hit_rate", Json::number(warm_hit_rate));
-    report.set("cold_warm", std::move(cw));
   }
 
-  // ----------------------------------------------- delta warm vs cold per class
-  std::cout << "--- deltas: warm == cold bytes per class, warm/cold speedup ---\n";
+  // ------------------------------------------ deltas: warm == cold per class
+  struct DeltaClass {
+    const char* name;
+    std::string base;   ///< request line
+    std::string delta;  ///< request line
+    std::string patched;  ///< the patched spec spelled directly
+  };
+  std::vector<DeltaClass> classes;
   {
-    struct DeltaClass {
-      const char* name;
-      svc::ScenarioSpec base;
-      const char* patch;
-    };
-
     // Flow-edit bases need an inline instance (and no witness start).
     const AdversarialInstance gadget = theorem_4_3_instance(3);
     svc::ScenarioSpec flows_base;
@@ -356,74 +363,139 @@ int main(int argc, char** argv) {
     exhaustive_base.topology.params = ClosNetwork::Params{5, 10, 5, Rational{1}};
     exhaustive_base.routing.policy = "exhaustive_lex";
 
-    const std::vector<DeltaClass> classes = {
-        {"add_flow", flows_base,
-         R"({"add_flows":[{"src_tor":1,"src_server":1,"dst_tor":2,"dst_server":2}]})"},
-        {"remove_flow", flows_base, R"({"remove_flows":[0]})"},
-        {"fail_middle", clos3_cell("uniform", 1, "greedy"), R"({"fail_middles":[1]})"},
-        {"derate_link", clos3_cell("uniform", 2, "greedy"),
-         R"({"derate_links":[{"stage":"uplink","tor":1,"middle":1,"factor":"1/2"}]})"},
-        {"objective_switch", exhaustive_base, R"({"objective":"maxmin_lp"})"},
+    const std::pair<const char*, svc::ScenarioSpec> bases[] = {
+        {"add_flow", flows_base},
+        {"remove_flow", flows_base},
+        {"fail_middle", clos3_cell("uniform", 1, "greedy")},
+        {"derate_link", clos3_cell("uniform", 2, "greedy")},
+        {"objective_switch", exhaustive_base},
     };
+    const char* patches[] = {
+        R"({"add_flows":[{"src_tor":1,"src_server":1,"dst_tor":2,"dst_server":2}]})",
+        R"({"remove_flows":[0]})",
+        R"({"fail_middles":[1]})",
+        R"({"derate_links":[{"stage":"uplink","tor":1,"middle":1,"factor":"1/2"}]})",
+        R"({"objective":"maxmin_lp"})",
+    };
+    for (std::size_t c = 0; c < std::size(bases); ++c) {
+      const svc::ScenarioSpec& base = bases[c].second;
+      classes.push_back(
+          {bases[c].first, base.to_json().dump(),
+           "{\"base\":\"" + svc::hash_hex(base.content_hash()) + "\",\"patch\":" + patches[c] +
+               "}",
+           svc::SpecPatch::from_json(Json::parse(patches[c])).apply(base).to_json().dump()});
+    }
+  }
 
+  std::cout << "--- deltas: warm == cold bytes per class at 1/2/8 workers ---\n";
+  std::vector<bool> delta_identical;
+  for (const DeltaClass& dc : classes) {
+    bool identical = true;
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      // Three calls: the base, the delta (resolved warm against the
+      // committed base), and the delta again — now a cache hit on the
+      // patched spec (svc.delta_hits). scripts/bench.sh holds those
+      // scripted warm starts and hits exactly.
+      svc::Service warm_service(svc::ServiceOptions{workers, 64});
+      const std::string base = wire::answer_batch(warm_service, {dc.base}).at(0);
+      check(has_result(base), std::string("delta base (") + dc.name + ") evaluates: " + base);
+      const std::string warm = wire::answer_batch(warm_service, {dc.delta}).at(0);
+      check(is_cached(wire::answer_batch(warm_service, {dc.delta}).at(0)),
+            std::string("delta ") + dc.name + " resubmission served from cache");
+
+      svc::Service cold_service(svc::ServiceOptions{workers, 64});
+      const std::string cold = wire::answer_batch(cold_service, {dc.patched}).at(0);
+      check(has_result(cold), std::string("delta ") + dc.name + " cold evaluation: " + cold);
+      identical = identical && warm == cold;
+      check(warm == cold, std::string("delta ") + dc.name + " warm == cold bytes at " +
+                              std::to_string(workers) + " workers");
+    }
+    delta_identical.push_back(identical);
+  }
+  std::cout << "checked " << classes.size() << " classes\n\n";
+
+  // The counter snapshot covers the scripted request phases above. The
+  // timing windows below repeat work purely to take a minimum, so they
+  // stay out of the gated counters.
+  report.set("metrics", metrics_to_json(obs::Registry::instance().snapshot()));
+
+  // ----------------------------------------- cold vs warm on exhaustive cells
+  std::cout << "--- cache: cold vs warm (exhaustive cells; best of " << kTimingReps
+            << " interleaved windows of process CPU time) ---\n";
+  {
+    svc::Service primed(svc::ServiceOptions{1, 512});
+    (void)wire::answer_batch(primed, exhaustive);
+    const auto [cold_secs, warm_secs] = best_interleaved(
+        [&] {
+          svc::Service fresh(svc::ServiceOptions{1, 512});
+          const double t0 = process_cpu_seconds();
+          (void)wire::answer_batch(fresh, exhaustive);
+          return process_cpu_seconds() - t0;
+        },
+        [&] {
+          const double t0 = process_cpu_seconds();
+          for (int round = 0; round < kWarmRounds; ++round) {
+            (void)wire::answer_batch(primed, exhaustive);
+          }
+          return (process_cpu_seconds() - t0) / kWarmRounds;
+        });
+
+    const double cold_rate = static_cast<double>(exhaustive.size()) / cold_secs;
+    const double warm_rate = static_cast<double>(exhaustive.size()) / warm_secs;
+    const double speedup = warm_rate / cold_rate;
+    check(speedup >= 10.0, "warm throughput >= 10x cold on exhaustive cells");
+
+    TextTable table_w({"phase", "cpu seconds/batch", "scenarios/cpu-sec"});
+    table_w.add_row({"cold", fmt_double(cold_secs, 4), fmt_double(cold_rate, 1)});
+    table_w.add_row({"warm", fmt_double(warm_secs, 6), fmt_double(warm_rate, 1)});
+    std::cout << table_w << "warm/cold speedup: " << fmt_double(speedup, 1) << "x\n\n";
+
+    Json cw = Json::object();
+    cw.set("cells", Json::number(static_cast<std::int64_t>(exhaustive.size())));
+    cw.set("cold_seconds", Json::number(cold_secs));
+    cw.set("warm_seconds", Json::number(warm_secs));
+    cw.set("cold_scenarios_per_sec", Json::number(cold_rate));
+    cw.set("warm_scenarios_per_sec", Json::number(warm_rate));
+    cw.set("warm_speedup", Json::number(speedup));
+    cw.set("warm_hit_rate", Json::number(warm_hit_rate));
+    report.set("cold_warm", std::move(cw));
+  }
+
+  // ----------------------------------------------- delta warm vs cold timing
+  std::cout << "--- deltas: warm/cold speedup per class (1 worker, best of " << kTimingReps
+            << " interleaved windows of process CPU time) ---\n";
+  {
     TextTable table_delta({"class", "warm_ms", "cold_ms", "speedup", "identical"});
     Json delta_report = Json::object();
     double objective_speedup = 0.0;
-    for (const DeltaClass& dc : classes) {
-      char hex[17];
-      std::snprintf(hex, sizeof(hex), "%016llx",
-                    static_cast<unsigned long long>(dc.base.content_hash()));
-      const svc::DeltaRequest delta = svc::DeltaRequest::from_json(Json::parse(
-          std::string("{\"base\":\"") + hex + "\",\"patch\":" + dc.patch + "}"));
-      const svc::ScenarioSpec patched = delta.patch.apply(dc.base);
-
-      bool identical = true;
-      double warm_secs = 0.0;
-      double cold_secs = 0.0;
-      for (const unsigned workers : {1u, 2u, 8u}) {
-        svc::Service warm_service(svc::ServiceOptions{workers, 64});
-        const svc::BatchEntry base_entry = warm_service.evaluate(dc.base);
-        check(base_entry.ok(), std::string("delta base (") + dc.name + ") evaluates: " +
-                                   base_entry.error);
-        const auto warm_t0 = std::chrono::steady_clock::now();
-        const svc::BatchEntry warm = warm_service.evaluate_delta(delta);
-        const double warm_s = seconds_since(warm_t0);
-
-        // Resubmit the same delta: the patched spec is now committed, so this
-        // must land as a cache hit (svc.delta_hits) — the exactly-gated
-        // counter in scripts/bench.sh depends on these scripted hits.
-        const svc::BatchEntry again = warm_service.evaluate_delta(delta);
-        check(again.cached,
-              std::string("delta ") + dc.name + " resubmission served from cache");
-
-        svc::Service cold_service(svc::ServiceOptions{workers, 64});
-        const auto cold_t0 = std::chrono::steady_clock::now();
-        const svc::BatchEntry cold = cold_service.evaluate(patched);
-        const double cold_s = seconds_since(cold_t0);
-
-        check(warm.ok(), std::string("delta ") + dc.name + " warm evaluation: " + warm.error);
-        check(cold.ok(), std::string("delta ") + dc.name + " cold evaluation: " + cold.error);
-        const std::string warm_bytes = digest({warm});
-        const std::string cold_bytes = digest({cold});
-        identical = identical && warm_bytes == cold_bytes;
-        check(warm_bytes == cold_bytes,
-              std::string("delta ") + dc.name + " warm == cold bytes at " +
-                  std::to_string(workers) + " workers");
-        if (workers == 1u) {
-          warm_secs = warm_s;
-          cold_secs = cold_s;
-        }
-      }
-      const double speedup = warm_secs > 0.0 ? cold_secs / warm_secs : 0.0;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      const DeltaClass& dc = classes[c];
+      // Both sides answer one request line: the delta against a committed
+      // base, or the patched spec spelled directly.
+      const auto [cold_secs, warm_secs] = best_interleaved(
+          [&] {
+            svc::Service fresh(svc::ServiceOptions{1, 64});
+            const double t0 = process_cpu_seconds();
+            (void)wire::answer_batch(fresh, {dc.patched});
+            return process_cpu_seconds() - t0;
+          },
+          [&] {
+            svc::Service with_base(svc::ServiceOptions{1, 64});
+            (void)wire::answer_batch(with_base, {dc.base});
+            const double t0 = process_cpu_seconds();
+            (void)wire::answer_batch(with_base, {dc.delta});
+            return process_cpu_seconds() - t0;
+          });
+      const double speedup = cold_secs / warm_secs;
       if (std::string(dc.name) == "objective_switch") objective_speedup = speedup;
       table_delta.add_row({dc.name, fmt_double(warm_secs * 1e3, 3),
                            fmt_double(cold_secs * 1e3, 3), fmt_double(speedup, 1),
-                           identical ? "yes" : "NO"});
+                           delta_identical[c] ? "yes" : "NO"});
       Json cls = Json::object();
       cls.set("warm_seconds", Json::number(warm_secs));
       cls.set("cold_seconds", Json::number(cold_secs));
       cls.set("warm_speedup", Json::number(speedup));
-      cls.set("identical", Json::boolean(identical));
+      cls.set("identical", Json::boolean(delta_identical[c]));
       delta_report.set(dc.name, std::move(cls));
     }
     check(objective_speedup >= 5.0,
@@ -431,11 +503,12 @@ int main(int argc, char** argv) {
     std::cout << table_delta << '\n';
     report.set("delta", std::move(delta_report));
   }
+  report.set("timing", Json::string("best of " + std::to_string(kTimingReps) +
+                                    " interleaved windows of process CPU time"));
 
   Json checks = Json::object();
   checks.set("failed", Json::number(static_cast<std::int64_t>(failures)));
   report.set("checks", std::move(checks));
-  report.set("metrics", metrics_to_json(obs::Registry::instance().snapshot()));
 
   std::ofstream out(out_path);
   out << report.dump(2) << '\n';

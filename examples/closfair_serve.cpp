@@ -5,21 +5,22 @@
 //   $ ./closfair_serve [--workers N] [--cache N] [--cache-file PATH]
 //                      [--in FILE] [--out FILE] [--metrics OUT.json]
 //
-// Reads one request per line (stdin, or --in FILE), evaluates the batch
-// through the sharded service, and writes one response per line (stdout, or
-// --out FILE), aligned with the requests. A request line is a bare
-// ScenarioSpec object (docs/SERVICE.md), a delta request
-// {"base":"<hash>","patch":{...}} against an earlier line's result, or an
-// envelope {"id": ..., "spec": {...}} / {"id": ..., "delta": {...}} whose id
-// (any JSON scalar) is echoed back. Responses:
+// Reads one request per line (stdin, or --in FILE), answers them through
+// the same request pipeline the server runs (wire::answer_batch), and writes
+// one response per line (stdout, or --out FILE), aligned with the requests.
+// A request line is a bare ScenarioSpec object (docs/SERVICE.md), a delta
+// request {"base":"<hash>","patch":{...}} against an earlier line's result,
+// or an envelope {"id": ..., "spec": {...}} / {"id": ..., "delta": {...}}
+// whose id (any JSON scalar) is echoed back. Responses:
 //
 //   {"id":..., "hash":"<fnv1a64 hex>", "cached":false, "result":{...}}
-//   {"id":..., "error":"..."}                       (bad line or failed cell)
+//   {"id":..., "hash":"<fnv1a64 hex>", "error":"..."}  (failed cell)
+//   {"id":..., "error":"..."}                          (bad line)
 //
-// Responses are byte-identical for every --workers value (the determinism
-// contract in docs/SERVICE.md). --cache-file loads a JSONL cache spill
-// before the batch and rewrites it afterwards, so repeated invocations warm
-// each other.
+// Responses are byte-identical for every --workers value and to what a
+// socket client sending the same lines receives (the determinism contract
+// in docs/SERVICE.md). --cache-file loads a JSONL cache spill before the
+// batch and rewrites it afterwards, so repeated invocations warm each other.
 //
 // Server mode:
 //
@@ -40,10 +41,8 @@
 // on the same port (send the bare verb as a frame; closfair_loadgen --admin
 // or --watch wraps this). --flight-recorder dumps the recorder's recent ring
 // as Chrome-trace JSONL after the drain (empty under CLOSFAIR_OBS=OFF).
-#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,6 @@
 #include "obs/obs.hpp"
 #include "obs/rt.hpp"
 #include "svc/service.hpp"
-#include "wire/protocol.hpp"
 #include "wire/server.hpp"
 
 using namespace closfair;
@@ -92,68 +90,12 @@ int run_batch(svc::Service& service, const std::string& in_path,
   }
   std::ostream& out = out_path.empty() ? std::cout : out_file;
 
-  // Parse every line up front; parse failures become per-line error
-  // responses without consuming an evaluation slot.
-  std::vector<wire::Request> requests;
+  std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    wire::Request request = wire::parse_request(line);
-    if (!request.ok()) OBS_COUNTER_INC("svc.errors");
-    requests.push_back(std::move(request));
+    if (line.find_first_not_of(" \t\r") != std::string::npos) lines.push_back(line);
   }
-
-  // Evaluate in segments: runs of direct specs go through the sharded batch
-  // path, each delta resolves sequentially at its line position. Because a
-  // segment flushes before any delta evaluates, a delta's base is always
-  // already committed to the cache when an earlier line produced it —
-  // matching the wire server's arrival-order resolution.
-  std::vector<svc::BatchEntry> entries(requests.size());
-  std::vector<bool> has_entry(requests.size(), false);
-  std::vector<svc::ScenarioSpec> segment;
-  std::vector<std::size_t> segment_lines;
-  const auto flush_segment = [&] {
-    if (segment.empty()) return;
-    std::vector<svc::BatchEntry> batch = service.evaluate_batch(segment);
-    for (std::size_t j = 0; j < batch.size(); ++j) {
-      entries[segment_lines[j]] = std::move(batch[j]);
-      has_entry[segment_lines[j]] = true;
-    }
-    segment.clear();
-    segment_lines.clear();
-  };
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    wire::Request& request = requests[i];
-    if (request.is_delta()) {
-      flush_segment();
-      entries[i] = service.evaluate_delta(*request.delta);
-      has_entry[i] = true;
-    } else if (request.spec.has_value()) {
-      segment_lines.push_back(i);
-      segment.push_back(std::move(*request.spec));
-    }
-  }
-  flush_segment();
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const wire::Request& request = requests[i];
-    if (!has_entry[i]) {
-      out << wire::render_parse_error(request.id, request.error) << '\n';
-      continue;
-    }
-    const svc::BatchEntry& entry = entries[i];
-    if (!entry.ok() && entry.hash == 0) {
-      // Delta resolution failed before a patched spec existed — no hash to
-      // report, same shape the wire server uses.
-      out << wire::render_parse_error(request.id, entry.error) << '\n';
-    } else {
-      out << (entry.ok()
-                  ? wire::render_result(request.id, entry.hash, entry.cached,
-                                        entry.result)
-                  : wire::render_eval_error(request.id, entry.hash, entry.error))
-          << '\n';
-    }
-  }
+  wire::answer_batch(service, lines, out);
   out.flush();
   return 0;
 }

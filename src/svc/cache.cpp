@@ -1,6 +1,5 @@
 #include "svc/cache.hpp"
 
-#include <cstdio>
 #include <iostream>
 #include <istream>
 #include <ostream>
@@ -10,15 +9,6 @@
 #include "util/check.hpp"
 
 namespace closfair::svc {
-namespace {
-
-std::string hash_hex(std::uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
-  return std::string{buf};
-}
-
-}  // namespace
 
 ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {
   CF_CHECK_MSG(capacity >= 1, "ResultCache capacity must be >= 1");

@@ -1,10 +1,5 @@
 #include "svc/service.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "fairness/waterfill.hpp"
@@ -32,12 +27,6 @@ namespace closfair::svc {
 namespace {
 
 [[noreturn]] void fail(const std::string& message) { throw SpecError(message); }
-
-std::string hash_hex(std::uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
-  return std::string{buf};
-}
 
 /// Generate the coordinate-level collection (and declared target rates, for
 /// inline instances). Generator draws consume `rng`; a subsequent seedless
@@ -426,142 +415,9 @@ DeltaResolution resolve_delta(
   return res;
 }
 
-// ---------------------------------------------------------------------------
-
 Service::Service(ServiceOptions options)
     : options_(options), cache_(options.cache_capacity) {
   if (options_.workers < 1) options_.workers = 1;
-  OBS_GAUGE_SET("svc.workers", options_.workers);
-}
-
-BatchEntry Service::evaluate(const ScenarioSpec& spec) {
-  OBS_COUNTER_INC("svc.requests");
-  BatchEntry entry;
-  const std::string canonical = spec.canonical();
-  entry.hash = fnv1a64(canonical);
-  if (auto hit = cache_.lookup(canonical); hit.has_value()) {
-    entry.result = std::move(*hit);
-    entry.cached = true;
-    return entry;
-  }
-  try {
-    entry.result = evaluate_scenario(spec);
-  } catch (const std::exception& e) {
-    OBS_COUNTER_INC("svc.errors");
-    entry.error = e.what();
-    return entry;
-  }
-  cache_.insert(canonical, entry.result);
-  return entry;
-}
-
-BatchEntry Service::evaluate_delta(const DeltaRequest& delta) {
-  BatchEntry entry;
-  DeltaResolution res = resolve_delta(cache_, delta);
-  if (!res.ok()) {
-    // hash stays 0: resolution failed before a patched spec ever existed.
-    entry.error = std::move(res.error);
-    return entry;
-  }
-  OBS_COUNTER_INC("svc.requests");
-  const std::string canonical = res.spec.canonical();
-  entry.hash = fnv1a64(canonical);
-  if (auto hit = cache_.lookup(canonical); hit.has_value()) {
-    OBS_COUNTER_INC("svc.delta_hits");
-    entry.result = std::move(*hit);
-    entry.cached = true;
-    return entry;
-  }
-  try {
-    entry.result = res.base.has_value()
-                       ? evaluate_scenario_warm(res.spec, *res.base_spec, res.base->result())
-                       : evaluate_scenario(res.spec);
-  } catch (const std::exception& e) {
-    OBS_COUNTER_INC("svc.errors");
-    entry.error = e.what();
-    return entry;
-  }
-  cache_.insert(canonical, entry.result);
-  return entry;
-}
-
-std::vector<BatchEntry> Service::evaluate_batch(const std::vector<ScenarioSpec>& specs) {
-  OBS_SPAN("svc.batch");
-  OBS_COUNTER_ADD("svc.requests", specs.size());
-  std::vector<BatchEntry> entries(specs.size());
-
-  // Deterministic pre-pass on the submitting thread: canonicalize, resolve
-  // cache hits, and collapse in-batch duplicates onto their first
-  // occurrence. Workers then receive a fixed queue of distinct evaluations
-  // with pre-assigned result slots — nothing about the output can depend on
-  // worker scheduling.
-  std::vector<std::string> canonical(specs.size());
-  std::vector<std::size_t> queue;                        // first-occurrence indices
-  std::unordered_map<std::string, std::size_t> first;    // canonical -> first index
-  std::vector<std::size_t> duplicate_of(specs.size(), SIZE_MAX);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    canonical[i] = specs[i].canonical();
-    entries[i].hash = fnv1a64(canonical[i]);
-    if (const auto it = first.find(canonical[i]); it != first.end()) {
-      duplicate_of[i] = it->second;
-      entries[i].cached = true;
-      OBS_COUNTER_INC("svc.dedup_hits");
-      continue;
-    }
-    if (auto hit = cache_.lookup(canonical[i]); hit.has_value()) {
-      entries[i].result = std::move(*hit);
-      entries[i].cached = true;
-      continue;
-    }
-    first.emplace(canonical[i], i);
-    queue.push_back(i);
-  }
-
-  OBS_GAUGE_SET("svc.queue_depth", queue.size());
-  const unsigned workers =
-      std::min<std::size_t>(options_.workers, std::max<std::size_t>(queue.size(), 1));
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::int64_t> depth{static_cast<std::int64_t>(queue.size())};
-  auto work = [&]() {
-    OBS_SPAN("svc.worker");
-    while (true) {
-      const std::size_t q = next.fetch_add(1, std::memory_order_relaxed);
-      if (q >= queue.size()) return;
-      const std::size_t slot = queue[q];
-      try {
-        entries[slot].result = evaluate_scenario(specs[slot]);
-      } catch (const std::exception& e) {
-        OBS_COUNTER_INC("svc.errors");
-        entries[slot].error = e.what();
-      }
-      OBS_GAUGE_SET("svc.queue_depth",
-                    depth.fetch_sub(1, std::memory_order_relaxed) - 1);
-    }
-  };
-  if (workers == 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Replay into the cache in input order so LRU recency (and with it any
-  // eviction sequence) is identical no matter how many workers ran, then
-  // materialize duplicates from their first occurrence.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (duplicate_of[i] != SIZE_MAX) {
-      const BatchEntry& src = entries[duplicate_of[i]];
-      entries[i].result = src.result;
-      entries[i].error = src.error;
-      continue;
-    }
-    if (first.contains(canonical[i]) && entries[i].ok()) {
-      cache_.insert(canonical[i], entries[i].result);
-    }
-  }
-  return entries;
 }
 
 }  // namespace closfair::svc

@@ -1,21 +1,15 @@
-// Batch scenario-evaluation service: sharded workers over the routing /
-// fairness / fault stack, fronted by the content-addressed result cache.
-//
-// Determinism contract (docs/SERVICE.md): a batch's responses are
-// byte-identical for every worker count. The queue is built *before* any
-// worker starts — cache lookups and duplicate detection happen in input
-// order on the submitting thread — so workers only ever run disjoint,
-// pre-assigned evaluations into dedicated result slots, and cache
-// insertions replay in input order after the pool joins. Worker scheduling
-// can therefore change wall-clock time but never a byte of output, a hit
-// flag, or the cache's eviction order.
+// Scenario evaluation over the routing / fairness / fault stack, plus the
+// Service that holds the content-addressed result cache every request path
+// shares. Turning request lines into response lines — dedup, cache lookup,
+// worker dispatch, seq-order commit — is the wire Pipeline's job
+// (wire/connection.hpp), for batch mode and sockets alike; the determinism
+// contract (docs/SERVICE.md) is kept there.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "svc/cache.hpp"
 #include "svc/spec.hpp"
@@ -64,42 +58,17 @@ struct DeltaResolution {
     ResultCache& cache, const DeltaRequest& delta,
     const std::function<std::optional<std::string>(std::uint64_t)>& inflight = nullptr);
 
-/// One batch response: the result (or an error), plus cache provenance.
-struct BatchEntry {
-  ScenarioResult result;
-  std::uint64_t hash = 0;  ///< content hash of the canonical spec
-  bool cached = false;     ///< served from cache, or duplicate of an earlier line
-  std::string error;       ///< non-empty: evaluation failed, `result` is empty
-
-  [[nodiscard]] bool ok() const { return error.empty(); }
-};
-
 struct ServiceOptions {
-  unsigned workers = 1;          ///< evaluation threads per batch (>= 1)
+  unsigned workers = 1;          ///< evaluation threads (>= 1)
   std::size_t cache_capacity = 1024;
 };
 
+/// What every request path shares: the content-addressed result cache and
+/// the evaluation thread count. Requests reach it through the wire Pipeline
+/// only — wire::answer_batch in process, wire::Server over sockets.
 class Service {
  public:
   explicit Service(ServiceOptions options = {});
-
-  /// Evaluate one spec through the cache.
-  [[nodiscard]] BatchEntry evaluate(const ScenarioSpec& spec);
-
-  /// Resolve and evaluate one delta request through the cache. On
-  /// resolution failure the entry carries the error with hash == 0 (no spec
-  /// ever existed to address); otherwise the entry is exactly what
-  /// evaluate() would return for the patched spec — byte-identical to a
-  /// cold request — with svc.delta_hits counting patched specs served
-  /// straight from the cache.
-  [[nodiscard]] BatchEntry evaluate_delta(const DeltaRequest& delta);
-
-  /// Evaluate a batch with the worker pool; responses align with `specs` by
-  /// index. Within the batch, duplicate canonical specs evaluate once (the
-  /// first occurrence; later ones report cached = true), and failures are
-  /// per-entry — one bad spec never poisons the batch.
-  [[nodiscard]] std::vector<BatchEntry> evaluate_batch(
-      const std::vector<ScenarioSpec>& specs);
 
   [[nodiscard]] ResultCache& cache() { return cache_; }
   [[nodiscard]] const ServiceOptions& options() const { return options_; }

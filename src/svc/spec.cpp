@@ -1,6 +1,7 @@
 #include "svc/spec.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 #include "io/text_format.hpp"
@@ -587,6 +588,12 @@ std::uint64_t fnv1a64(std::string_view bytes) {
     hash *= 1099511628211ULL;
   }
   return hash;
+}
+
+std::string hash_hex(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
+  return std::string{buf};
 }
 
 // ------------------------------------------------------------------- deltas

@@ -130,6 +130,10 @@ struct ScenarioSpec {
 /// FNV-1a 64 over arbitrary bytes (the service's content-address function).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
+/// 16-digit lowercase hex of a content hash: the spelling of a content
+/// address in responses, delta requests, and cache spills.
+[[nodiscard]] std::string hash_hex(std::uint64_t hash);
+
 /// One flow to add via a delta patch (1-based coordinates, like the text
 /// format's `flow a b -> c d [@R]` line).
 struct FlowPatch {

@@ -47,9 +47,9 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
   std::shared_ptr<WarmStart> warm;
   if (request.is_delta()) {
     const auto inflight_base = [this](std::uint64_t want) -> std::optional<std::string> {
-      for (const auto& [pending_canonical, seq] : pending_) {
-        (void)seq;
-        if (svc::fnv1a64(pending_canonical) == want) return pending_canonical;
+      // Pending first occurrences are exactly the slots holding a canonical.
+      for (const auto& [seq, pending] : slots_) {
+        if (!pending.canonical.empty() && pending.hash == want) return pending.canonical;
       }
       return std::nullopt;
     };
@@ -64,7 +64,7 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
       }
     } else {
       // Resolution failed before a patched spec existed: answer like a
-      // parse error (no hash), exactly as the batch binary does.
+      // parse error (no hash).
       request.spec.reset();
       request.error = std::move(res.error);
     }
@@ -77,7 +77,7 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
     slot.payload = render_parse_error(slot.id, request.error);
   } else if (const auto it = pending_.find(canonical); it != pending_.end()) {
     // Duplicate of an in-flight (or completed-but-uncommitted) evaluation:
-    // never re-evaluates, mirroring the batch dedup pre-pass.
+    // never re-evaluates.
     OBS_COUNTER_INC("wire.dedup_hits");
     if (request.is_delta()) OBS_COUNTER_INC("svc.delta_hits");
     slot.trace.set_outcome(obs::rt::Outcome::kDeduped);
@@ -131,6 +131,27 @@ void Pipeline::admit_ready(std::string payload) {
   slot.payload = std::move(payload);
   slots_.emplace(seq, std::move(slot));
   OBS_GAUGE_SET("wire.pipeline_depth", slots_.size());
+}
+
+void Pipeline::evaluate(Admission admission) {
+  obs::rt::WorkerStamps stamps = obs::rt::begin_work();
+  svc::ScenarioResult result;
+  std::string error;
+  try {
+    // Warm evaluation is byte-identical to cold by construction, so the
+    // response stream cannot tell which one ran.
+    result = admission.warm != nullptr
+                 ? svc::evaluate_scenario_warm(admission.spec, admission.warm->base_spec,
+                                               admission.warm->pin.result())
+                 : svc::evaluate_scenario(admission.spec);
+  } catch (const std::exception& e) {
+    OBS_COUNTER_INC("svc.errors");
+    error = e.what();
+  }
+  admission.warm.reset();  // release the base pin as soon as the result exists
+  obs::rt::end_work(stamps);
+  OBS_COUNTER_INC("wire.evaluations");
+  complete(admission.seq, std::move(result), std::move(error), stamps);
 }
 
 void Pipeline::complete(std::uint64_t seq, svc::ScenarioResult result,

@@ -1,27 +1,28 @@
 // closfair::wire — the per-connection request pipeline.
 //
-// A Pipeline owns everything about one connection's request stream except
-// the socket: sequence numbering, the deterministic admission pre-pass
-// (parse → overload shed → in-flight dedup → cache lookup → in-flight
-// budget), the reorder buffer that turns out-of-order shard completions
-// back into in-order responses, and the seq-order cache commit.
+// A Pipeline owns everything about one request stream except its transport:
+// sequence numbering, the deterministic admission pre-pass (parse → overload
+// shed → in-flight dedup → cache lookup → in-flight budget), the reorder
+// buffer that turns out-of-order worker completions back into in-order
+// responses, and the seq-order cache commit. It is the only engine that
+// turns request lines into response lines: wire::Server runs one per
+// connection, and wire::answer_batch (server.hpp) runs one per batch.
 //
-// Determinism contract (docs/SERVICE.md): for a fixed request stream on one
-// connection, the response byte stream is identical for every worker count
-// and identical to the batch binary fed the same lines — the same contract
-// svc::Service::evaluate_batch keeps in process. The mechanism is the same
-// too: all cache/dedup decisions happen in arrival order on the admitting
-// thread, workers only fill pre-assigned slots, and results commit to the
-// cache in sequence order when their response becomes writable. Worker
-// scheduling can change *when* a response is ready, never its bytes or the
-// cache's eviction order. (Across concurrent connections sharing one cache
-// the interleaving is the arrival order the kernel delivered — each stream
-// still sees coherent results, but cached-flag provenance is then genuinely
-// load-dependent.)
+// Determinism contract (docs/SERVICE.md): for a fixed request stream, the
+// response byte stream is identical for every worker count. All cache/dedup
+// decisions happen in arrival order on the admitting thread, workers only
+// fill pre-assigned slots, and results commit to the cache in sequence order
+// when their response becomes writable. Worker scheduling can change *when*
+// a response is ready, never its bytes or the cache's eviction order. Batch
+// mode admits every line before its first take_ready(), so every lookup
+// precedes every commit; over a socket the reader admits as frames arrive.
+// (Across concurrent connections sharing one cache the interleaving is the
+// arrival order the kernel delivered — each stream still sees coherent
+// results, but cached-flag provenance is then genuinely load-dependent.)
 //
 // Thread-safety: all methods lock one internal mutex. The intended callers
-// are the connection's reader thread (admit), any worker thread (complete),
-// and the connection's writer thread (take_ready).
+// are the admitting thread (admit), any worker thread (evaluate / complete),
+// and the draining thread (take_ready).
 #pragma once
 
 #include <cstddef>
@@ -82,13 +83,15 @@ class Pipeline {
   ///
   /// Delta request lines ({"base","patch"}) resolve here, in arrival order:
   /// the base is pinned from the shared cache, or — when it is still in
-  /// flight *on this connection* — its canonical bytes are read from the
-  /// pending set (the patch then applies but evaluation runs cold; warm and
-  /// cold are byte-identical, so the response stream cannot tell the
-  /// difference). The patched spec then walks the same dedup → cache →
-  /// budget ladder as a direct spec, so delta traffic never perturbs
-  /// data-plane byte identity. Resolution failures (unknown base, patch
-  /// does not apply) respond like parse errors: no hash existed to report.
+  /// flight *on this pipeline* (admitted but not yet taken; in batch mode,
+  /// any earlier line) — its canonical bytes are read from the pending slot
+  /// whose recorded hash matches (the patch then applies but evaluation
+  /// runs cold; warm and cold are byte-identical, so the response stream
+  /// cannot tell the difference). The patched spec then walks the same
+  /// dedup → cache → budget ladder as a direct spec, so delta traffic never
+  /// perturbs data-plane byte identity. Resolution failures (unknown base,
+  /// patch does not apply) respond like parse errors: no hash existed to
+  /// report.
   [[nodiscard]] Admission admit(std::string_view line, bool shed = false,
                                 std::uint64_t recv_ns = 0);
 
@@ -97,9 +100,16 @@ class Pipeline {
   /// into the response stream in arrival order like any data-plane request.
   void admit_ready(std::string payload);
 
-  /// Deliver an evaluation outcome for an admitted seq. `error` non-empty
-  /// means the evaluation failed; duplicates waiting on this seq are
-  /// fulfilled either way. `stamps` carries the worker's dequeue /
+  /// Run an admitted evaluation on the calling worker thread — warm from the
+  /// delta base when the admission carries one, cold otherwise — and
+  /// complete() its seq with the result or the error. A failure counts as
+  /// svc.errors; every run counts as wire.evaluations.
+  void evaluate(Admission admission);
+
+  /// Deliver an evaluation outcome for an admitted seq (evaluate() calls
+  /// this; tests may call it directly). `error` non-empty means the
+  /// evaluation failed; duplicates waiting on this seq are fulfilled either
+  /// way. `stamps` carries the worker's dequeue /
   /// evaluation-done ticks for the stage breakdown (empty under OBS=OFF).
   void complete(std::uint64_t seq, svc::ScenarioResult result, std::string error,
                 obs::rt::WorkerStamps stamps = {});
@@ -110,8 +120,8 @@ class Pipeline {
   [[nodiscard]] std::vector<std::string> take_ready();
 
   /// Tell the pipeline the payloads from the last take_ready() batch have
-  /// been written to the socket: their traces get the write stage charged
-  /// and are published to the flight recorder. No-op under OBS=OFF.
+  /// been written out: their traces get the write stage charged and are
+  /// published to the flight recorder. No-op under OBS=OFF.
   void commit_written();
 
   /// Evaluations admitted but not yet completed.

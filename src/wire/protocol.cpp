@@ -1,7 +1,5 @@
 #include "wire/protocol.hpp"
 
-#include <cstdio>
-
 namespace closfair::wire {
 
 Request parse_request(std::string_view line) {
@@ -35,12 +33,6 @@ Request parse_request(std::string_view line) {
     request.error = e.what();
   }
   return request;
-}
-
-std::string hash_hex(std::uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
-  return std::string{buf};
 }
 
 namespace {

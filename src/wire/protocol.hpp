@@ -47,7 +47,7 @@ struct Request {
 [[nodiscard]] Request parse_request(std::string_view line);
 
 /// 16-digit lowercase hex of a content hash (the response "hash" value).
-[[nodiscard]] std::string hash_hex(std::uint64_t hash);
+using svc::hash_hex;
 
 /// Successful evaluation (or cache/duplicate hit).
 [[nodiscard]] std::string render_result(const Json& id, std::uint64_t hash,

@@ -10,7 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <ostream>
+#include <sstream>
 #include <utility>
 
 #include "io/json_export.hpp"
@@ -54,6 +57,77 @@ void drain_signal_handler(int) {
 }
 
 }  // namespace
+
+void answer_batch(svc::Service& service, const std::vector<std::string>& lines,
+                  std::ostream& out) {
+  Pipeline pipeline(service.cache(), PipelineLimits{std::max<std::size_t>(lines.size(), 1)});
+  std::mutex mu;
+  std::condition_variable work_cv;   // jobs queued, or admission finished
+  std::condition_variable ready_cv;  // an evaluation completed
+  std::deque<Pipeline::Admission> jobs;
+  bool admitting = true;
+  std::uint64_t completed = 0;
+
+  const auto work = [&] {
+    while (true) {
+      Pipeline::Admission job;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        work_cv.wait(lock, [&] { return !jobs.empty() || !admitting; });
+        if (jobs.empty()) return;
+        job = std::move(jobs.front());
+        jobs.pop_front();
+      }
+      pipeline.evaluate(std::move(job));
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++completed;
+      }
+      ready_cv.notify_one();
+    }
+  };
+
+  // Workers start with the first evaluations, so a batch of cache hits (or
+  // no lines at all) spawns no thread.
+  std::vector<std::thread> pool;
+  for (const std::string& line : lines) {
+    Pipeline::Admission admission = pipeline.admit(line);
+    if (!admission.evaluate) continue;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      jobs.push_back(std::move(admission));
+    }
+    work_cv.notify_one();
+    if (pool.size() < service.options().workers) pool.emplace_back(work);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    admitting = false;
+  }
+  work_cv.notify_all();
+
+  // Stream responses as their seq prefix becomes ready.
+  std::uint64_t seen = 0;
+  while (true) {
+    for (const std::string& payload : pipeline.take_ready()) out << payload << '\n';
+    pipeline.commit_written();
+    if (pipeline.idle()) break;
+    std::unique_lock<std::mutex> lock(mu);
+    ready_cv.wait(lock, [&] { return completed != seen; });
+    seen = completed;
+  }
+  for (std::thread& worker : pool) worker.join();
+}
+
+std::vector<std::string> answer_batch(svc::Service& service,
+                                      const std::vector<std::string>& lines) {
+  std::ostringstream out;
+  answer_batch(service, lines, out);
+  std::vector<std::string> responses;
+  std::istringstream in(out.str());
+  for (std::string line; std::getline(in, line);) responses.push_back(line);
+  return responses;
+}
 
 /// Per-connection state: the socket, the deterministic pipeline, and the
 /// reader/writer thread pair. Jobs hold a shared_ptr so a completion can
@@ -193,8 +267,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
         Pipeline::Admission admission =
             conn->pipeline.admit(*frame, shed, recv_ns);
         if (admission.evaluate) {
-          enqueue(Job{conn, admission.seq, std::move(admission.spec),
-                      std::move(admission.warm)});
+          enqueue(Job{conn, std::move(admission)});
         }
         conn->wake();  // non-evaluate admissions are ready immediately
       }
@@ -287,27 +360,9 @@ void Server::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    obs::rt::WorkerStamps stamps = obs::rt::begin_work();
-    svc::ScenarioResult result;
-    std::string error;
-    try {
-      // Delta jobs carry their pinned base: warm evaluation is byte-identical
-      // to cold by construction, so the response stream cannot tell.
-      result = job.warm != nullptr
-                   ? svc::evaluate_scenario_warm(job.spec, job.warm->base_spec,
-                                                 job.warm->pin.result())
-                   : svc::evaluate_scenario(job.spec);
-    } catch (const std::exception& e) {
-      OBS_COUNTER_INC("svc.errors");
-      error = e.what();
-    }
-    job.warm.reset();  // release the base pin as soon as the result exists
-    obs::rt::end_work(stamps);
-    OBS_COUNTER_INC("wire.evaluations");
+    job.conn->pipeline.evaluate(std::move(job.admission));
     const std::size_t depth = queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
     OBS_GAUGE_SET("wire.eval_queue_depth", depth);
-    job.conn->pipeline.complete(job.seq, std::move(result), std::move(error),
-                                stamps);
     job.conn->wake();
   }
 }

@@ -1,12 +1,13 @@
-// closfair::wire — the persistent TCP front-end over svc::Service.
+// closfair::wire — the two front ends of the request Pipeline over
+// svc::Service: answer_batch (in process, batch mode) and the persistent TCP
+// server.
 //
 // One acceptor thread hands long-lived connections to a reader/writer
 // thread pair each; evaluations from every connection funnel into one
-// shared worker pool (the sharding engine of PR 5, now fed by sockets).
-// Each connection's Pipeline (connection.hpp) keeps the deterministic
-// admission order and reorders out-of-order completions back into
-// sequence-order responses, so the batch binary's byte-identity contract
-// holds end to end over the socket.
+// shared worker pool. Each connection's Pipeline (connection.hpp) keeps the
+// deterministic admission order and reorders out-of-order completions back
+// into sequence-order responses, so a socket client gets the bytes
+// answer_batch writes for the same lines.
 //
 // Admission control is two-level: a per-connection in-flight budget
 // (PipelineLimits) and a global evaluation-queue high watermark. Either
@@ -25,6 +26,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,6 +38,22 @@
 #include "wire/framing.hpp"
 
 namespace closfair::wire {
+
+/// Batch mode: answer `lines` (one request line each, blank lines already
+/// dropped) through one Pipeline over service.cache(), writing one response
+/// line per request to `out`, in order. Every line is admitted before the
+/// first response is taken, so every cache lookup and delta resolution
+/// precedes every commit; admitted evaluations run on
+/// service.options().workers threads, which start while admission is still
+/// going. The in-flight budget is the line count, so nothing is ever shed.
+/// While the cache does not evict, the bytes equal what a socket client
+/// sending the same lines on one connection receives.
+void answer_batch(svc::Service& service, const std::vector<std::string>& lines,
+                  std::ostream& out);
+
+/// answer_batch collected in memory: the response lines, in request order.
+[[nodiscard]] std::vector<std::string> answer_batch(svc::Service& service,
+                                                    const std::vector<std::string>& lines);
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -84,9 +102,7 @@ class Server {
   struct Connection;
   struct Job {
     std::shared_ptr<Connection> conn;
-    std::uint64_t seq = 0;
-    svc::ScenarioSpec spec;
-    std::shared_ptr<WarmStart> warm;  ///< delta base context (null for direct specs)
+    Pipeline::Admission admission;
   };
 
   void accept_loop();

@@ -557,21 +557,24 @@ TEST(ObsDisabled, SnapshotStaysEmptyAfterInstrumentedRun) {
   EXPECT_TRUE(obs::Registry::instance().snapshot().empty());
 }
 
-// The scenario service is instrumented throughout (svc.requests,
-// svc.cache_hits, svc.queue_depth, spans); under OBS=OFF all of it must
-// compile to the inert stubs — a full batch leaves the registry empty.
+// The scenario service's batch path is instrumented throughout (wire.*,
+// svc.cache_hits, svc.evaluate spans); under OBS=OFF all of it must compile
+// to the inert stubs — a full batch leaves the registry empty.
 TEST(ObsDisabled, ServiceBatchLeavesNoMetrics) {
   svc::ScenarioSpec spec;
   spec.topology.params = ClosNetwork::Params{2, 4, 2, Rational{1}};
   spec.workload.generator = "permutation";
   spec.workload.seed = 3;
+  const std::string line = spec.to_json().dump();
   svc::Service service(svc::ServiceOptions{2, 8});
-  const std::vector<svc::BatchEntry> entries =
-      service.evaluate_batch({spec, spec});  // second entry: dedup path
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_TRUE(entries[0].ok());
-  EXPECT_TRUE(entries[1].cached);
-  EXPECT_TRUE(service.evaluate(spec).cached);  // cache-hit path
+  std::ostringstream first;
+  wire::answer_batch(service, {line, line}, first);  // second line: dedup path
+  const std::string responses = first.str();
+  EXPECT_NE(responses.find("\"cached\":false"), std::string::npos) << responses;
+  EXPECT_NE(responses.find("\"cached\":true"), std::string::npos) << responses;
+  std::ostringstream again;
+  wire::answer_batch(service, {line}, again);  // cache-hit path
+  EXPECT_NE(again.str().find("\"cached\":true"), std::string::npos) << again.str();
   EXPECT_TRUE(obs::Registry::instance().snapshot().empty());
 }
 

@@ -1,13 +1,12 @@
 // Tests for closfair::svc — scenario-spec parsing and canonicalization, the
 // FNV content address, the LRU result cache with JSONL spill/reload, and the
-// sharded batch service's determinism + equivalence-with-the-library
-// contracts (docs/SERVICE.md).
+// service's determinism + equivalence-with-the-library contracts through
+// its batch request path, wire::answer_batch (docs/SERVICE.md).
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +21,7 @@
 #include "svc/cache.hpp"
 #include "util/rng.hpp"
 #include "workload/stochastic.hpp"
+#include "wire/server.hpp"
 
 namespace closfair {
 namespace {
@@ -483,33 +483,43 @@ std::vector<svc::ScenarioSpec> small_batch() {
   return specs;
 }
 
+std::vector<std::string> as_lines(const std::vector<svc::ScenarioSpec>& specs) {
+  std::vector<std::string> lines;
+  for (const svc::ScenarioSpec& spec : specs) lines.push_back(spec.to_json().dump());
+  return lines;
+}
+
+bool is_cached(const std::string& response) {
+  return response.find("\"cached\":true") != std::string::npos;
+}
+
+/// The "result" member of a response: equal results render equal bytes.
+std::string result_of(const std::string& response) {
+  const std::size_t at = response.find("\"result\":");
+  return at == std::string::npos ? std::string{} : response.substr(at);
+}
+
 TEST(SvcService, BatchIsDeterministicAcrossWorkerCounts) {
-  const std::vector<svc::ScenarioSpec> specs = small_batch();
+  const std::vector<std::string> lines = as_lines(small_batch());
   svc::Service one(svc::ServiceOptions{1, 64});
-  const std::vector<svc::BatchEntry> ref = one.evaluate_batch(specs);
-  ASSERT_EQ(ref.size(), specs.size());
+  const std::vector<std::string> ref = wire::answer_batch(one, lines);
+  ASSERT_EQ(ref.size(), lines.size());
   for (const unsigned workers : {2u, 8u}) {
     svc::Service service(svc::ServiceOptions{workers, 64});
-    const std::vector<svc::BatchEntry> entries = service.evaluate_batch(specs);
-    ASSERT_EQ(entries.size(), ref.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(entries[i].hash, ref[i].hash) << i;
-      EXPECT_EQ(entries[i].cached, ref[i].cached) << i;
-      EXPECT_EQ(entries[i].error, ref[i].error) << i;
-      EXPECT_EQ(entries[i].result, ref[i].result) << i;
-    }
+    EXPECT_EQ(wire::answer_batch(service, lines), ref) << "workers=" << workers;
   }
 }
 
 TEST(SvcService, DuplicatesAndResubmissionsHitTheCache) {
-  const std::vector<svc::ScenarioSpec> specs = small_batch();
+  const std::vector<std::string> lines = as_lines(small_batch());
   svc::Service service(svc::ServiceOptions{2, 64});
-  const std::vector<svc::BatchEntry> cold = service.evaluate_batch(specs);
-  EXPECT_FALSE(cold.front().cached);
-  EXPECT_TRUE(cold.back().cached);  // in-batch duplicate of specs[0]
-  EXPECT_EQ(cold.back().result, cold.front().result);
-  const std::vector<svc::BatchEntry> warm = service.evaluate_batch(specs);
-  for (const svc::BatchEntry& entry : warm) EXPECT_TRUE(entry.cached);
+  const std::vector<std::string> cold = wire::answer_batch(service, lines);
+  EXPECT_FALSE(is_cached(cold.front()));
+  EXPECT_TRUE(is_cached(cold.back()));  // in-batch duplicate of line 0
+  EXPECT_EQ(result_of(cold.back()), result_of(cold.front()));
+  EXPECT_FALSE(result_of(cold.front()).empty());
+  const std::vector<std::string> warm = wire::answer_batch(service, lines);
+  for (const std::string& response : warm) EXPECT_TRUE(is_cached(response)) << response;
 }
 
 TEST(SvcService, RuntimeErrorsBecomePerEntryErrors) {
@@ -522,18 +532,21 @@ TEST(SvcService, RuntimeErrorsBecomePerEntryErrors) {
   specs.insert(specs.begin() + 1, bad);
 
   svc::Service service(svc::ServiceOptions{2, 64});
-  const std::vector<svc::BatchEntry> entries = service.evaluate_batch(specs);
-  EXPECT_FALSE(entries[1].ok());
-  EXPECT_FALSE(entries[1].error.empty());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  const std::vector<std::string> responses = wire::answer_batch(service, as_lines(specs));
+  // A failed evaluation still reports its content address.
+  EXPECT_EQ(responses[1].find("{\"hash\":\"" + svc::hash_hex(bad.content_hash()) +
+                              "\",\"error\":"),
+            0u)
+      << responses[1];
+  for (std::size_t i = 0; i < responses.size(); ++i) {
     if (i != 1) {
-      EXPECT_TRUE(entries[i].ok()) << entries[i].error;
+      EXPECT_FALSE(result_of(responses[i]).empty()) << responses[i];
     }
   }
   // A failed evaluation must not be cached.
-  const svc::BatchEntry retry = service.evaluate(bad);
-  EXPECT_FALSE(retry.cached);
-  EXPECT_FALSE(retry.ok());
+  EXPECT_FALSE(service.cache().lookup(bad.canonical()).has_value());
+  const std::vector<std::string> retry = wire::answer_batch(service, as_lines({bad}));
+  EXPECT_EQ(retry, (std::vector<std::string>{responses[1]}));
 }
 
 // ------------------------------------------------------------ cache pinning
@@ -626,12 +639,6 @@ TEST(SvcCache, GaugeIsHonestWhenTheFinalRecordIsTorn) {
 
 svc::SpecPatch parse_patch(const std::string& text) {
   return svc::SpecPatch::from_json(Json::parse(text));
-}
-
-std::string hash_hex16(std::uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
-  return std::string{buf};
 }
 
 TEST(SvcDelta, PatchParsingIsStrict) {
@@ -740,41 +747,35 @@ TEST(SvcDelta, WarmEvaluationMatchesColdBytesForEveryClass) {
 
 TEST(SvcDelta, ServiceEvaluateDeltaMatchesColdService) {
   const svc::ScenarioSpec base = instance_base();
-  const svc::DeltaRequest delta = svc::DeltaRequest::from_json(Json::parse(
-      R"({"base":")" + hash_hex16(base.content_hash()) +
-      R"(","patch":{"objective":"maxmin_lp"}})"));
+  const std::string base_hash = svc::hash_hex(base.content_hash());
+  const std::string delta =
+      R"({"base":")" + base_hash + R"(","patch":{"objective":"maxmin_lp"}})";
 
   svc::Service warm_service(svc::ServiceOptions{1, 16});
-  ASSERT_TRUE(warm_service.evaluate(base).ok());
-  const svc::BatchEntry warm = warm_service.evaluate_delta(delta);
-  ASSERT_TRUE(warm.ok()) << warm.error;
+  ASSERT_FALSE(result_of(wire::answer_batch(warm_service, as_lines({base})).at(0)).empty());
+  const std::vector<std::string> warm = wire::answer_batch(warm_service, {delta});
 
   svc::Service cold_service(svc::ServiceOptions{1, 16});
-  const svc::BatchEntry cold =
-      cold_service.evaluate(delta.patch.apply(base));
-  ASSERT_TRUE(cold.ok()) << cold.error;
-  EXPECT_EQ(warm.hash, cold.hash);
-  EXPECT_EQ(warm.result.to_json().dump(), cold.result.to_json().dump());
+  const svc::ScenarioSpec patched =
+      svc::SpecPatch::from_json(Json::parse(R"({"objective":"maxmin_lp"})")).apply(base);
+  const std::vector<std::string> cold = wire::answer_batch(cold_service, as_lines({patched}));
+  ASSERT_FALSE(result_of(cold.at(0)).empty()) << cold.at(0);
+  EXPECT_EQ(warm, cold);  // same hash, same result bytes, cached:false
 
   // Re-submitting the same delta is a cache hit on the patched spec.
-  const svc::BatchEntry again = warm_service.evaluate_delta(delta);
-  EXPECT_TRUE(again.cached);
+  EXPECT_TRUE(is_cached(wire::answer_batch(warm_service, {delta}).at(0)));
 
-  // A base the cache has never seen resolves to an error with hash == 0.
-  svc::DeltaRequest unknown = delta;
-  unknown.base ^= 1;
-  const svc::BatchEntry miss = warm_service.evaluate_delta(unknown);
-  EXPECT_FALSE(miss.ok());
-  EXPECT_EQ(miss.hash, 0u);
-  EXPECT_NE(miss.error.find("unknown base"), std::string::npos) << miss.error;
+  // A base the cache has never seen resolves to an error with no hash.
+  const std::string unknown = svc::hash_hex(base.content_hash() ^ 1);
+  EXPECT_EQ(wire::answer_batch(warm_service, {R"({"base":")" + unknown + R"("})"}).at(0),
+            R"({"error":"unknown base )" + unknown + R"(: not in the result cache"})");
 
-  // A patch that does not apply reports the patch error, hash == 0.
-  const svc::DeltaRequest bad = svc::DeltaRequest::from_json(Json::parse(
-      R"({"base":")" + hash_hex16(base.content_hash()) +
-      R"(","patch":{"remove_flows":[9]}})"));
-  const svc::BatchEntry broken = warm_service.evaluate_delta(bad);
-  EXPECT_FALSE(broken.ok());
-  EXPECT_EQ(broken.hash, 0u);
+  // A patch that does not apply reports the patch error, with no hash.
+  const std::string bad_patch =
+      R"({"base":")" + base_hash + R"(","patch":{"remove_flows":[9]}})";
+  const std::string broken = wire::answer_batch(warm_service, {bad_patch}).at(0);
+  EXPECT_EQ(broken.find(R"({"error":)"), 0u) << broken;
+  EXPECT_EQ(broken.find("\"hash\""), std::string::npos) << broken;
 }
 
 TEST(SvcDelta, DeltaCountersTrackOutcomesWhenEnabled) {
@@ -782,16 +783,13 @@ TEST(SvcDelta, DeltaCountersTrackOutcomesWhenEnabled) {
   obs::Registry::instance().reset();
   const svc::ScenarioSpec base = instance_base();
   svc::Service service(svc::ServiceOptions{1, 16});
-  ASSERT_TRUE(service.evaluate(base).ok());
+  (void)wire::answer_batch(service, as_lines({base}));
 
-  const svc::DeltaRequest objective_delta = svc::DeltaRequest::from_json(Json::parse(
-      R"({"base":")" + hash_hex16(base.content_hash()) +
-      R"(","patch":{"objective":"maxmin_lp"}})"));
-  (void)service.evaluate_delta(objective_delta);  // warm: wholesale result reuse
-  (void)service.evaluate_delta(objective_delta);  // cache hit on patched spec
-  svc::DeltaRequest unknown = objective_delta;
-  unknown.base ^= 1;
-  (void)service.evaluate_delta(unknown);  // base miss
+  const std::string objective_delta = R"({"base":")" + svc::hash_hex(base.content_hash()) +
+                                      R"(","patch":{"objective":"maxmin_lp"}})";
+  (void)wire::answer_batch(service, {objective_delta});  // warm: wholesale result reuse
+  (void)wire::answer_batch(service, {objective_delta});  // cache hit on patched spec
+  (void)wire::answer_batch(service, {R"({"base":"00000000000000aa"})"});  // base miss
 
   const obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
   std::uint64_t requests = 0, hits = 0, misses = 0, reuses = 0;
@@ -812,13 +810,13 @@ TEST(SvcService, ObsCountersTrackRequestsWhenEnabled) {
   obs::Registry::instance().reset();
   svc::Service service(svc::ServiceOptions{2, 64});
   const std::vector<svc::ScenarioSpec> specs = small_batch();
-  (void)service.evaluate_batch(specs);
+  (void)wire::answer_batch(service, as_lines(specs));
   const obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
   std::uint64_t requests = 0;
   std::uint64_t dedup = 0;
   for (const auto& c : snapshot.counters) {
-    if (c.name == "svc.requests") requests = c.value;
-    if (c.name == "svc.dedup_hits") dedup = c.value;
+    if (c.name == "wire.requests") requests = c.value;
+    if (c.name == "wire.dedup_hits") dedup = c.value;
   }
   EXPECT_EQ(requests, specs.size());
   EXPECT_EQ(dedup, 1u);

@@ -1,9 +1,10 @@
 // Tests for closfair::wire — length-prefixed framing (round-trip, partial
 // reads, oversized-frame rejection), the request/response line protocol, the
 // per-connection Pipeline (in-order responses from out-of-order completions,
-// dedup, admission control), the TCP server end to end over a real
-// loopback socket (byte-identity with the batch binary for 1/2/8 workers,
-// overload shedding, graceful drain — docs/SERVICE.md "Wire protocol"),
+// dedup, admission control), batch mode (wire::answer_batch) and the TCP
+// server end to end over a real loopback socket (both byte-identical to an
+// independent per-line reference for 1/2/8 workers, overload shedding,
+// graceful drain — docs/SERVICE.md "Wire protocol"),
 // and the admin plane / request tracing: metricsz/statusz/tracez verbs,
 // failure-path counters, and the stage-sum = wall-time invariant of every
 // flight-recorder entry (docs/OBSERVABILITY.md).
@@ -387,8 +388,9 @@ TEST(WirePipeline, ParseErrorsAnswerImmediately) {
 // ------------------------------------------------------- server over loopback
 
 /// The byte-identity fixture: mixed request lines (bare specs, envelopes,
-/// duplicates, a parse error, an evaluation error) mirroring small_batch()
-/// in tests/test_svc.cpp.
+/// duplicates, a parse error, an evaluation error, and deltas: one on an
+/// earlier line's base, its duplicate, an unknown base, and a patch that
+/// does not apply).
 std::vector<std::string> mixed_request_lines() {
   std::vector<std::string> lines;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -405,46 +407,88 @@ std::vector<std::string> mixed_request_lines() {
   bad.routing.start = {1};
   lines.push_back(R"({"id":"boom","spec":)" + bad.to_json().dump() + "}");
   lines.push_back(lines[0]);  // envelope duplicate, same id
+  const std::string base = svc::hash_hex(
+      svc::ScenarioSpec::from_json(Json::parse(tiny_spec_json(3))).content_hash());
+  const std::string delta =
+      R"(,"delta":{"base":")" + base + R"(","patch":{"fail_middles":[1]}}})";
+  lines.push_back(R"({"id":"d1")" + delta);
+  lines.push_back(R"({"id":"d2")" + delta);  // duplicate delta
+  lines.push_back(R"({"id":"d3","delta":{"base":"00000000000000aa"}})");
+  // Flow edits need an inline-instance base: the patch does not apply.
+  lines.push_back(R"({"id":"d4","delta":{"base":")" + base +
+                  R"(","patch":{"remove_flows":[0]}}})");
   return lines;
 }
 
-/// What the batch binary would answer: the reference half of the
-/// byte-identity gate, computed in process exactly like run_batch().
-std::vector<std::string> batch_responses(const std::vector<std::string>& lines) {
-  std::vector<wire::Request> requests;
-  std::vector<svc::ScenarioSpec> specs;
-  std::vector<std::size_t> spec_of;
+/// Independent oracle: every line on its own through parse_request, delta
+/// resolution against the specs seen earlier in the stream, and a cold
+/// evaluate_scenario, with "cached" meaning the canonical spec appeared
+/// earlier in the stream. Holds while the cache never evicts.
+std::vector<std::string> reference_responses(const std::vector<std::string>& lines) {
+  std::map<std::uint64_t, svc::ScenarioSpec> seen;
+  std::vector<std::string> out;
   for (const std::string& line : lines) {
     wire::Request request = wire::parse_request(line);
-    if (request.ok()) {
-      spec_of.push_back(specs.size());
-      specs.push_back(*request.spec);
-    } else {
-      spec_of.push_back(SIZE_MAX);
+    if (request.is_delta()) {
+      const auto base = seen.find(request.delta->base);
+      if (base == seen.end()) {
+        request.error = "unknown base " + svc::hash_hex(request.delta->base) +
+                        ": not in the result cache";
+      } else {
+        try {
+          request.spec = request.delta->patch.apply(base->second);
+        } catch (const std::exception& e) {
+          request.error = e.what();
+        }
+      }
     }
-    requests.push_back(std::move(request));
-  }
-  svc::Service service(svc::ServiceOptions{1, 64});
-  const std::vector<svc::BatchEntry> batch = service.evaluate_batch(specs);
-  std::vector<std::string> out;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (spec_of[i] == SIZE_MAX) {
-      out.push_back(wire::render_parse_error(requests[i].id, requests[i].error));
+    if (!request.spec.has_value()) {
+      out.push_back(wire::render_parse_error(request.id, request.error));
       continue;
     }
-    const svc::BatchEntry& entry = batch[spec_of[i]];
-    out.push_back(entry.ok()
-                      ? wire::render_result(requests[i].id, entry.hash, entry.cached,
-                                            entry.result)
-                      : wire::render_eval_error(requests[i].id, entry.hash,
-                                                entry.error));
+    const std::uint64_t hash = request.spec->content_hash();
+    const bool cached = !seen.emplace(hash, *request.spec).second;
+    try {
+      out.push_back(wire::render_result(request.id, hash, cached,
+                                        svc::evaluate_scenario(*request.spec)));
+    } catch (const std::exception& e) {
+      out.push_back(wire::render_eval_error(request.id, hash, e.what()));
+    }
   }
   return out;
 }
 
+TEST(WireBatch, MatchesTheIndependentReferenceForEveryWorkerCount) {
+  const std::vector<std::string> lines = mixed_request_lines();
+  const std::vector<std::string> expected = reference_responses(lines);
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    svc::Service service(svc::ServiceOptions{workers, 64});
+    EXPECT_EQ(wire::answer_batch(service, lines), expected) << "workers=" << workers;
+  }
+}
+
+TEST(WireBatch, DeltaOnAnEarlierLineResolvesEvenAtCacheOne) {
+  // A one-entry cache cannot keep the base committed while later lines
+  // commit, but batch mode resolves every delta before any commit: the
+  // base is found pending on the pipeline, by its recorded hash.
+  const std::string base = tiny_spec_json(1);
+  const std::string base_hash = svc::hash_hex(
+      svc::ScenarioSpec::from_json(Json::parse(base)).content_hash());
+  const std::vector<std::string> lines = {
+      base, tiny_spec_json(2),
+      R"({"base":")" + base_hash + R"(","patch":{"objective":"maxmin_lp"}})"};
+  for (const unsigned workers : {1u, 2u}) {
+    svc::Service service(svc::ServiceOptions{workers, 1});
+    const std::vector<std::string> responses = wire::answer_batch(service, lines);
+    EXPECT_EQ(responses, reference_responses(lines)) << "workers=" << workers;
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_NE(responses[2].find("\"result\":"), std::string::npos) << responses[2];
+  }
+}
+
 TEST(WireServer, SocketResponsesAreByteIdenticalToBatchForEveryWorkerCount) {
   const std::vector<std::string> lines = mixed_request_lines();
-  const std::vector<std::string> expected = batch_responses(lines);
+  const std::vector<std::string> expected = reference_responses(lines);
   for (const unsigned workers : {1u, 2u, 8u}) {
     svc::Service service(svc::ServiceOptions{workers, 64});
     wire::ServerOptions options;
@@ -564,7 +608,8 @@ TEST(WireServer, OversizedResponseFlushesEarlierFramesThenCloses) {
   svc::Service service(svc::ServiceOptions{1, 64});
   const svc::ScenarioSpec base =
       svc::ScenarioSpec::from_json(Json::parse(tiny_spec_json(1)));
-  (void)service.evaluate(base);  // warm the cache so a short delta line hits
+  // Warm the cache so a short delta line hits.
+  (void)wire::answer_batch(service, {tiny_spec_json(1)});
   const std::string base_hash = wire::hash_hex(svc::fnv1a64(base.canonical()));
 
   wire::ServerOptions options;
@@ -905,7 +950,8 @@ TEST(WireTrace, FlightRecorderStageSumsEqualWallTime) {
   }
   // The mixed stream's outcome mix survives into the recorder.
   EXPECT_EQ(outcomes[obs::rt::Outcome::kAdmin], 1u);
-  EXPECT_EQ(outcomes[obs::rt::Outcome::kParseError], 1u);
+  // The bad line plus the unknown-base and bad-patch deltas.
+  EXPECT_EQ(outcomes[obs::rt::Outcome::kParseError], 3u);
   EXPECT_EQ(outcomes[obs::rt::Outcome::kEvalError], 1u);
   EXPECT_GE(outcomes[obs::rt::Outcome::kEvaluated], 4u);
   obs::rt::FlightRecorder::instance().reset();
