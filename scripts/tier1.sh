@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: a metric-name docs drift check
 # (scripts/check_metrics_docs.sh), full build + test suite, a closfair_serve
-# smoke run diffed against a committed golden transcript, a wire-server
+# smoke run diffed against a committed golden transcript, a cache-spill
+# smoke (the same run twice over one --cache-file: the spill must equal its
+# committed golden and the second run must answer every line from the
+# reloaded cache with the golden's hash and result bytes), a wire-server
 # smoke (start closfair_serve --listen, replay 20 mixed requests through
 # closfair_loadgen, scrape the metricsz/statusz admin verbs and diff the
 # stable counter subset against tests/golden/serve_net_admin_counters.json,
@@ -11,8 +14,9 @@
 # warm-started delta evaluation must be byte-identical on every path), a
 # Release water-fill perf smoke gated against the committed
 # bench/waterfill_floor.json, the search engine's serial-vs-parallel
-# equivalence tests plus the water-fill fast-path differential suite under
-# ThreadSanitizer, the fault / workload / rate-control / search /
+# equivalence tests, the water-fill fast-path differential suite and the
+# wire / service tests (result bytes cross the reader, worker and writer
+# threads) under ThreadSanitizer, the fault / workload / rate-control / search /
 # wire-socket tests under ASan+UBSan, and the CLOSFAIR_OBS=OFF
 # configuration (instrumentation compiled out) with its unit tests plus a
 # link-level check that the obs TUs are empty, and a build of the end-to-end
@@ -51,10 +55,57 @@ fi
 echo "3 requests answered, duplicate served from cache, golden matched"
 
 echo
+echo "== tier 1: cache spill smoke (--cache-file written, reloaded, served) =="
+SPILL="$(mktemp)"
+SPILL_OUT="$(mktemp)"
+trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT"' EXIT
+rm -f "$SPILL"
+for run in 1 2; do
+  build/examples/closfair_serve --workers 2 --cache-file "$SPILL" \
+      --in tests/golden/serve_smoke_requests.jsonl --out "$SPILL_OUT"
+  if [ "$run" = 1 ] && ! cmp -s tests/golden/serve_smoke_spill.jsonl "$SPILL"; then
+    diff -u tests/golden/serve_smoke_spill.jsonl "$SPILL" || true
+    echo "FAIL: the cache spill diverged from the committed golden"
+    exit 1
+  fi
+done
+python3 - tests/golden/serve_smoke_responses.jsonl "$SPILL_OUT" \
+    tests/golden/serve_smoke_spill.jsonl "$SPILL" <<'EOF'
+import sys
+
+
+def lines(path):
+    with open(path) as f:
+        return f.read().splitlines()
+
+
+def split(line):
+    # (bytes before "cached", bytes from "result" on), compared raw.
+    cached = line.find(',"cached":')
+    result = line.find(',"result":')
+    assert 0 < cached < result, line
+    return line[:cached], line[result:]
+
+
+golden, second = lines(sys.argv[1]), lines(sys.argv[2])
+if len(golden) != len(second):
+    sys.exit(f"FAIL: the second run answered {len(second)} of {len(golden)} lines")
+for want, got in zip(golden, second):
+    if ',"cached":true,' not in got:
+        sys.exit("FAIL: the second run missed the reloaded cache: " + got)
+    if split(want) != split(got):
+        sys.exit("FAIL: the second run's id, hash or result bytes diverged: " + got)
+# Hits refresh recency, so the rewritten spill may order its lines differently.
+if sorted(lines(sys.argv[3])) != sorted(lines(sys.argv[4])):
+    sys.exit("FAIL: the rewritten spill holds other entries than the golden")
+EOF
+echo "spill matched its golden; a second run served every line from it byte-identically"
+
+echo
 echo "== tier 1: wire server smoke (closfair_serve --listen + closfair_loadgen) =="
 PORT_FILE="$(mktemp)"
 WIRE_OUT="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$PORT_FILE" "$WIRE_OUT"' EXIT
+trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT" "$PORT_FILE" "$WIRE_OUT"' EXIT
 : > "$PORT_FILE"
 build/examples/closfair_serve --listen 127.0.0.1:0 --workers 2 \
     --port-file "$PORT_FILE" &
@@ -126,7 +177,7 @@ echo "20 pipelined requests answered byte-identically over the socket, SIGTERM d
 echo
 echo "== tier 1: delta smoke (base+delta replay, batch and wire vs one golden) =="
 DELTA_OUT="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$PORT_FILE" "$WIRE_OUT" "$DELTA_OUT"' EXIT
+trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT" "$PORT_FILE" "$WIRE_OUT" "$DELTA_OUT"' EXIT
 build/examples/closfair_serve --workers 2 \
     --in tests/golden/serve_delta_requests.jsonl --out "$DELTA_OUT"
 if ! diff -u tests/golden/serve_delta_responses.jsonl "$DELTA_OUT"; then
@@ -164,7 +215,7 @@ echo "== tier 1: Release water-fill perf smoke vs committed floor =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" --target perf_micro >/dev/null
 PERF_JSON="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$PORT_FILE" "$WIRE_OUT" "$PERF_JSON"' EXIT
+trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT" "$PORT_FILE" "$WIRE_OUT" "$PERF_JSON"' EXIT
 build-release/bench/perf_micro --benchmark_filter='^BM_WaterfillWorkspaceFast$' \
     --benchmark_min_time=0.5 --benchmark_out="$PERF_JSON" \
     --benchmark_out_format=json >/dev/null
@@ -194,10 +245,12 @@ if measured < minimum:
 EOF
 
 echo
-echo "== tier 1: SearchEngine + water-fill fast-path tests under ThreadSanitizer =="
+echo "== tier 1: SearchEngine, water-fill fast-path, wire + svc tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DCLOSFAIR_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$JOBS" --target test_search_engine test_waterfill_fastpath
-(cd build-tsan && ctest --output-on-failure -j "$JOBS" -R 'SearchEngine|WaterfillFastpath')
+cmake --build build-tsan -j "$JOBS" --target test_search_engine test_waterfill_fastpath \
+    test_wire test_svc
+(cd build-tsan && ctest --output-on-failure -j "$JOBS" \
+    -R 'SearchEngine|WaterfillFastpath|^Wire|^Svc')
 
 echo
 echo "== tier 1: fault/workload/rate-control/wire tests under ASan+UBSan =="

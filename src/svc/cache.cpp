@@ -14,7 +14,7 @@ ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {
   CF_CHECK_MSG(capacity >= 1, "ResultCache capacity must be >= 1");
 }
 
-std::optional<ScenarioResult> ResultCache::lookup(const std::string& canonical) {
+std::optional<std::string> ResultCache::find(const std::string& canonical) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(canonical);
   if (it == index_.end()) {
@@ -26,21 +26,30 @@ std::optional<ScenarioResult> ResultCache::lookup(const std::string& canonical) 
   return entries_.front().result;
 }
 
-bool ResultCache::insert(const std::string& canonical, const ScenarioResult& result) {
+bool ResultCache::insert(const std::string& canonical, std::string bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool fresh = insert_locked(canonical, result);
+  const bool fresh = insert_locked(canonical, std::move(bytes));
   OBS_GAUGE_SET("svc.cache_size", entries_.size());
   return fresh;
 }
 
-bool ResultCache::insert_locked(const std::string& canonical,
-                                const ScenarioResult& result) {
+std::optional<ScenarioResult> ResultCache::lookup(const std::string& canonical) {
+  std::optional<std::string> bytes = find(canonical);
+  if (!bytes.has_value()) return std::nullopt;
+  return ScenarioResult::from_json(Json::parse(*bytes));
+}
+
+bool ResultCache::insert(const std::string& canonical, const ScenarioResult& result) {
+  return insert(canonical, result.to_json().dump());
+}
+
+bool ResultCache::insert_locked(const std::string& canonical, std::string bytes) {
   const auto it = index_.find(canonical);
   if (it != index_.end()) {
     // Same key ⇒ byte-identical result (the determinism contract), so the
     // refresh is semantically a no-op; skip the assignment while pinned —
-    // pin holders read the result object without the lock.
-    if (it->second->pins == 0) it->second->result = result;
+    // pin holders read the bytes without the lock.
+    if (it->second->pins == 0) it->second->result = std::move(bytes);
     entries_.splice(entries_.begin(), entries_, it->second);
     return false;
   }
@@ -56,7 +65,7 @@ bool ResultCache::insert_locked(const std::string& canonical,
       if (victim == entries_.begin()) break;
     }
   }
-  entries_.push_front(Entry{canonical, result, 0});
+  entries_.push_front(Entry{canonical, std::move(bytes), 0});
   index_.emplace(canonical, entries_.begin());
   by_hash_[fnv1a64(canonical)] = entries_.begin();
   return true;
@@ -94,6 +103,10 @@ ResultCache::BasePin& ResultCache::BasePin::operator=(BasePin&& other) noexcept 
   return *this;
 }
 
+ScenarioResult ResultCache::BasePin::result() const {
+  return ScenarioResult::from_json(Json::parse(bytes()));
+}
+
 ResultCache::BasePin::~BasePin() {
   if (cache_ != nullptr) cache_->unpin(it_);
 }
@@ -119,11 +132,10 @@ void ResultCache::save(std::ostream& out) const {
   // Reverse order: the reload inserts sequentially, so writing LRU-first
   // makes the last line — the most recent entry — land at the front again.
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    Json line = Json::object();
-    line.set("hash", Json::string(hash_hex(fnv1a64(it->spec))));
-    line.set("spec", Json::string(it->spec));
-    line.set("result", it->result.to_json());
-    out << line.dump() << '\n';
+    // The bytes Json{"hash","spec","result"}.dump() would write, with the
+    // stored result bytes spliced in.
+    out << R"({"hash":")" << hash_hex(fnv1a64(it->spec)) << R"(","spec":")"
+        << json_escape(it->spec) << R"(","result":)" << it->result << "}\n";
   }
 }
 
@@ -160,11 +172,13 @@ std::size_t ResultCache::load(std::istream& in) {
       // forever without ever matching a lookup.
       const ScenarioSpec spec =
           ScenarioSpec::from_json(Json::parse(spec_text->as_string()));
-      const ScenarioResult result = ScenarioResult::from_json(*result_json);
+      // Validate through the struct and store its canonical rendering, so
+      // whitespace or key order edited into a spill never reaches a client.
+      std::string bytes = ScenarioResult::from_json(*result_json).to_json().dump();
       std::lock_guard<std::mutex> lock(mu_);
       // Only a *new* entry counts: a duplicate canonical line refreshes the
       // existing node (insert replaces, it doesn't add).
-      if (insert_locked(spec.canonical(), result)) ++loaded;
+      if (insert_locked(spec.canonical(), std::move(bytes))) ++loaded;
     } catch (const JsonParseError& e) {
       deferred = annotate(e.what());
       deferred_is_json = true;

@@ -3,18 +3,24 @@
 // Keys are the *canonical* spec bytes (ScenarioSpec::canonical()); two
 // requests that spell the same scenario differently therefore share one
 // entry, and the FNV-1a content hash of the key doubles as the response's
-// stable scenario address. A secondary index maps that content hash back to
-// its entry so delta requests ({"base":"<hash>"}) can resolve the base spec
-// without holding the canonical bytes. Eviction is LRU over a fixed entry
-// capacity; entries pinned by an outstanding BasePin are exempt (delta
-// resolution pins its base for the duration of the warm evaluation).
+// stable scenario address. Values are the result's rendered JSON bytes —
+// exactly what follows "result": in a response and in the spill — so a hit
+// is answered by splicing them into an envelope, never by re-rendering. A
+// secondary index maps that content hash back to its entry so delta
+// requests ({"base":"<hash>"}) can resolve the base spec without holding
+// the canonical bytes. Eviction is LRU over a fixed entry capacity;
+// entries pinned by an outstanding BasePin are exempt (delta resolution
+// pins its base for the duration of the warm evaluation).
 // Entries spill to JSONL — one {"hash","spec","result"} object per line,
 // least-recent first so a reload replays insertions in recency order — and
-// reload validates each line by re-canonicalizing the spec, so a stale or
-// hand-edited spill cannot poison lookups with unreachable keys.
+// reload validates each line by re-canonicalizing the spec and re-rendering
+// the result, so a stale or hand-edited spill can neither poison lookups
+// with unreachable keys nor serve non-canonical result bytes.
 //
-// All public methods are thread-safe (one mutex; the service's workers only
-// touch the cache between batches, so contention is not a concern).
+// All public methods are thread-safe behind one mutex. A wire Pipeline's
+// admitting thread looks entries up and pins delta bases while its
+// draining thread commits results, and connections share one cache; every
+// critical section is a hash probe plus at most one copy of the bytes.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +40,8 @@ namespace closfair::svc {
 class ResultCache {
  private:
   struct Entry {
-    std::string spec;  ///< canonical bytes (the key)
-    ScenarioResult result;
+    std::string spec;    ///< canonical bytes (the key)
+    std::string result;  ///< rendered ScenarioResult JSON
     int pins = 0;  ///< outstanding BasePins; > 0 exempts from eviction
   };
 
@@ -43,21 +49,28 @@ class ResultCache {
   /// `capacity` = maximum retained entries (>= 1).
   explicit ResultCache(std::size_t capacity = 1024);
 
-  /// Copy of the cached result for this canonical spec, refreshing its
-  /// recency; nullopt on miss. Bumps svc.cache_hits / svc.cache_misses.
+  /// Copy of the cached result bytes for this canonical spec, refreshing
+  /// its recency; nullopt on miss. Bumps svc.cache_hits / svc.cache_misses.
+  [[nodiscard]] std::optional<std::string> find(const std::string& canonical);
+
+  /// Insert or refresh. `bytes` must be a rendered result
+  /// (ScenarioResult::to_json().dump()) and `canonical` canonical spec bytes
+  /// — the cache trusts its caller and re-derives neither. Evicts the
+  /// least-recently-used *unpinned* entry when full (bumps
+  /// svc.cache_evictions; when every entry is pinned the cache temporarily
+  /// exceeds capacity instead). Returns true when a new entry was created,
+  /// false when an existing entry was refreshed.
+  bool insert(const std::string& canonical, std::string bytes);
+
+  /// find(), parsed back into a ScenarioResult.
   [[nodiscard]] std::optional<ScenarioResult> lookup(const std::string& canonical);
 
-  /// Insert or refresh. Evicts the least-recently-used *unpinned* entry when
-  /// full (bumps svc.cache_evictions; when every entry is pinned the cache
-  /// temporarily exceeds capacity instead). `canonical` must be canonical
-  /// spec bytes — the cache trusts its caller and does not re-derive them.
-  /// Returns true when a new entry was created, false when an existing entry
-  /// was refreshed.
+  /// insert() of the result's rendered bytes.
   bool insert(const std::string& canonical, const ScenarioResult& result);
 
   /// RAII pin on one cache entry. While the pin is alive the entry cannot be
-  /// evicted, cleared, or have its result object reassigned, so canonical()
-  /// and result() are stable references readable without the cache lock —
+  /// evicted, cleared, or have its result bytes reassigned, so canonical()
+  /// and bytes() are stable references readable without the cache lock —
   /// delta resolution pins its base across the warm evaluation.
   class BasePin {
    public:
@@ -70,7 +83,9 @@ class ResultCache {
     ~BasePin();
 
     [[nodiscard]] const std::string& canonical() const { return it_->spec; }
-    [[nodiscard]] const ScenarioResult& result() const { return it_->result; }
+    [[nodiscard]] const std::string& bytes() const { return it_->result; }
+    /// bytes(), parsed back into a ScenarioResult.
+    [[nodiscard]] ScenarioResult result() const;
 
    private:
     friend class ResultCache;
@@ -116,7 +131,7 @@ class ResultCache {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> by_hash_;
 
-  bool insert_locked(const std::string& canonical, const ScenarioResult& result);
+  bool insert_locked(const std::string& canonical, std::string bytes);
   void erase_locked(std::list<Entry>::iterator it);
   void unpin(std::list<Entry>::iterator it);
 };

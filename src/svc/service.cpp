@@ -369,19 +369,21 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec) {
   return evaluate_clos(spec);
 }
 
-ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
-                                      const ScenarioSpec& base_spec,
-                                      const ScenarioResult& base_result) {
-  // Objective-only switch: routing search never reads the objective and the
-  // exact LP and water-fill compute the same unique allocation, so the base
-  // result *is* the cold result of the patched spec.
+bool reuses_base_result(const ScenarioSpec& spec, const ScenarioSpec& base_spec) {
   ScenarioSpec probe = spec;
   probe.objective = base_spec.objective;
   if (probe.canonical() == base_spec.canonical()) {
     OBS_COUNTER_INC("svc.delta_result_reuses");
-    return base_result;
+    return true;
   }
   OBS_COUNTER_INC("svc.delta_warm_starts");
+  return false;
+}
+
+ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
+                                      const ScenarioSpec& base_spec,
+                                      const ScenarioResult& base_result) {
+  if (reuses_base_result(spec, base_spec)) return base_result;
   return evaluate_scenario(spec);
 }
 

@@ -23,12 +23,18 @@ namespace closfair::svc {
 /// "static" start of the wrong length. Wrapped in the svc.evaluate span.
 [[nodiscard]] ScenarioResult evaluate_scenario(const ScenarioSpec& spec);
 
-/// Evaluate `spec`, a delta of a base scenario whose result is known. When
-/// only the objective changed, the base result is returned wholesale:
-/// routing search never reads the objective, and the exact LP and
-/// water-fill compute the same unique allocation (svc.delta_result_reuses).
-/// Any other patch is evaluate_scenario(spec), counted as
-/// svc.delta_warm_starts. Either way the bytes equal a cold evaluation's.
+/// Decide how a delta of a base scenario whose result is known gets its
+/// answer. True when only the objective changed: routing search never reads
+/// the objective, and the exact LP and water-fill compute the same unique
+/// allocation, so the base result *is* the cold result of `spec` (counted as
+/// svc.delta_result_reuses). False for any other patch, which must be
+/// evaluated cold (counted as svc.delta_warm_starts). Call it once per
+/// warm-started delta.
+[[nodiscard]] bool reuses_base_result(const ScenarioSpec& spec, const ScenarioSpec& base_spec);
+
+/// Evaluate `spec`, a delta of a base scenario whose result is known: the
+/// base result when reuses_base_result(), else evaluate_scenario(spec).
+/// Either way the bytes equal a cold evaluation's.
 [[nodiscard]] ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
                                                     const ScenarioSpec& base_spec,
                                                     const ScenarioResult& base_result);

@@ -1,10 +1,10 @@
 #include "util/rational.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 
 namespace closfair {
 namespace {
@@ -75,9 +75,16 @@ double Rational::to_double() const {
 }
 
 std::string Rational::to_string() const {
-  std::ostringstream os;
-  os << *this;
-  return os.str();
+  // operator<<'s "num" or "num/den", without a stream. An int64 takes at
+  // most 20 characters, sign included.
+  constexpr std::size_t kInt64Chars = 20;
+  char buf[2 * kInt64Chars + 1];
+  char* out = std::to_chars(buf, buf + kInt64Chars, num_).ptr;
+  if (den_ != 1) {
+    *out = '/';
+    out = std::to_chars(out + 1, buf + sizeof(buf), den_).ptr;
+  }
+  return std::string(buf, out);
 }
 
 Rational& Rational::operator+=(const Rational& rhs) {

@@ -92,7 +92,7 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
       // committed (written) yet; render the same error for this seq now.
       slot.payload = render_eval_error(slot.id, hash, first.error);
     }
-  } else if (auto hit = cache_.lookup(canonical); hit.has_value()) {
+  } else if (const auto hit = cache_.find(canonical); hit.has_value()) {
     if (request.is_delta()) OBS_COUNTER_INC("svc.delta_hits");
     slot.trace.set_outcome(obs::rt::Outcome::kCached);
     slot.payload = render_result(slot.id, hash, /*cached=*/true, *hit);
@@ -135,15 +135,17 @@ void Pipeline::admit_ready(std::string payload) {
 
 void Pipeline::evaluate(Admission admission) {
   obs::rt::WorkerStamps stamps = obs::rt::begin_work();
-  svc::ScenarioResult result;
+  std::string result;
   std::string error;
   try {
-    // Warm evaluation is byte-identical to cold by construction, so the
-    // response stream cannot tell which one ran.
-    result = admission.warm != nullptr
-                 ? svc::evaluate_scenario_warm(admission.spec, admission.warm->base_spec,
-                                               admission.warm->pin.result())
-                 : svc::evaluate_scenario(admission.spec);
+    // Reusing the base's bytes is byte-identical to a cold evaluation by
+    // construction, so the response stream cannot tell which one ran.
+    if (admission.warm != nullptr &&
+        svc::reuses_base_result(admission.spec, admission.warm->base_spec)) {
+      result = admission.warm->pin.bytes();
+    } else {
+      result = svc::evaluate_scenario(admission.spec).to_json().dump();
+    }
   } catch (const std::exception& e) {
     OBS_COUNTER_INC("svc.errors");
     error = e.what();
@@ -154,8 +156,8 @@ void Pipeline::evaluate(Admission admission) {
   complete(admission.seq, std::move(result), std::move(error), stamps);
 }
 
-void Pipeline::complete(std::uint64_t seq, svc::ScenarioResult result,
-                        std::string error, obs::rt::WorkerStamps stamps) {
+void Pipeline::complete(std::uint64_t seq, std::string result, std::string error,
+                        obs::rt::WorkerStamps stamps) {
   std::lock_guard<std::mutex> lock(mu_);
   Slot& slot = slots_.at(seq);
   CF_CHECK_MSG(slot.state == State::kEvaluating, "complete() on a non-evaluating seq");
@@ -194,7 +196,7 @@ std::vector<std::string> Pipeline::take_ready() {
     if (!slot.canonical.empty()) {
       // Seq-order commit: cache insertion (and with it LRU recency and any
       // eviction) happens in response order, not completion order.
-      if (slot.ok) cache_.insert(slot.canonical, slot.result);
+      if (slot.ok) cache_.insert(slot.canonical, std::move(slot.result));
       pending_.erase(slot.canonical);
     }
     if (!slot.admin) OBS_COUNTER_INC("wire.responses");

@@ -71,7 +71,7 @@ class Pipeline {
     std::uint64_t seq = 0;
     bool evaluate = false;    ///< caller must evaluate `spec`, then complete(seq)
     svc::ScenarioSpec spec;   ///< valid only when `evaluate`
-    std::shared_ptr<WarmStart> warm;  ///< delta base for evaluate_scenario_warm (may be null)
+    std::shared_ptr<WarmStart> warm;  ///< pinned delta base (may be null)
   };
 
   /// Admit the next request line, in arrival order. `shed` additionally
@@ -100,23 +100,28 @@ class Pipeline {
   /// into the response stream in arrival order like any data-plane request.
   void admit_ready(std::string payload);
 
-  /// Run an admitted evaluation on the calling worker thread — warm from the
-  /// delta base when the admission carries one, cold otherwise — and
-  /// complete() its seq with the result or the error. A failure counts as
-  /// svc.errors; every run counts as wire.evaluations.
+  /// Run an admitted evaluation on the calling worker thread and complete()
+  /// its seq with the rendered result bytes or the error. A delta whose
+  /// base is pinned and whose patch only switched the objective
+  /// (svc::reuses_base_result) copies the base's bytes; anything else is
+  /// evaluated cold and rendered here, outside the pipeline lock — the only
+  /// place the pipeline renders a result. A failure counts as svc.errors;
+  /// every run counts as wire.evaluations.
   void evaluate(Admission admission);
 
   /// Deliver an evaluation outcome for an admitted seq (evaluate() calls
-  /// this; tests may call it directly). `error` non-empty means the
-  /// evaluation failed; duplicates waiting on this seq are fulfilled either
-  /// way. `stamps` carries the worker's dequeue /
-  /// evaluation-done ticks for the stage breakdown (empty under OBS=OFF).
-  void complete(std::uint64_t seq, svc::ScenarioResult result, std::string error,
+  /// this; tests may call it directly). `result` is the rendered result
+  /// (ScenarioResult::to_json().dump()); `error` non-empty means the
+  /// evaluation failed. Duplicates waiting on this seq are fulfilled either
+  /// way, each by splicing the same bytes into its own envelope. `stamps`
+  /// carries the worker's dequeue / evaluation-done ticks for the stage
+  /// breakdown (empty under OBS=OFF).
+  void complete(std::uint64_t seq, std::string result, std::string error,
                 obs::rt::WorkerStamps stamps = {});
 
   /// Drain every response that is ready *and* next in sequence order,
-  /// committing first-occurrence results to the cache as they pass. Returns
-  /// unframed response payloads, oldest first.
+  /// moving first-occurrence result bytes into the cache as they pass.
+  /// Returns unframed response payloads, oldest first.
   [[nodiscard]] std::vector<std::string> take_ready();
 
   /// Tell the pipeline the payloads from the last take_ready() batch have
@@ -149,7 +154,7 @@ class Pipeline {
     State state = State::kReady;
     std::string payload;          ///< rendered response (kReady)
     std::string canonical;        ///< non-empty for first-occurrence evaluations
-    svc::ScenarioResult result;   ///< completed result awaiting seq-order commit
+    std::string result;           ///< completed result bytes awaiting seq-order commit
     std::string error;            ///< completed error (for late duplicates)
     bool ok = false;              ///< result valid (vs. error) after complete()
     bool admin = false;           ///< admin-plane response (admit_ready); kept

@@ -46,12 +46,28 @@ Json response_base(const Json& id) {
 }  // namespace
 
 std::string render_result(const Json& id, std::uint64_t hash, bool cached,
+                          std::string_view result) {
+  // The compact dump of {"id"?,"hash","cached","result"}, written directly
+  // so the result bytes are copied once instead of re-rendered.
+  std::string out;
+  out.reserve(result.size() + 96);
+  out += '{';
+  if (!id.is_null()) {
+    out += R"("id":)";
+    out += id.dump();
+    out += ',';
+  }
+  out += R"("hash":")";
+  out += hash_hex(hash);
+  out += cached ? R"(","cached":true,"result":)" : R"(","cached":false,"result":)";
+  out += result;
+  out += '}';
+  return out;
+}
+
+std::string render_result(const Json& id, std::uint64_t hash, bool cached,
                           const svc::ScenarioResult& result) {
-  Json response = response_base(id);
-  response.set("hash", Json::string(hash_hex(hash)));
-  response.set("cached", Json::boolean(cached));
-  response.set("result", result.to_json());
-  return response.dump();
+  return render_result(id, hash, cached, result.to_json().dump());
 }
 
 std::string render_eval_error(const Json& id, std::uint64_t hash,

@@ -49,7 +49,14 @@ struct Request {
 /// 16-digit lowercase hex of a content hash (the response "hash" value).
 using svc::hash_hex;
 
-/// Successful evaluation (or cache/duplicate hit).
+/// Successful evaluation (or cache/duplicate hit): the envelope spliced
+/// around `result`, the rendered result bytes (ScenarioResult::to_json()
+/// .dump(), the form the result cache stores). The bytes equal dumping a
+/// Json envelope whose "result" member is the parsed result.
+[[nodiscard]] std::string render_result(const Json& id, std::uint64_t hash,
+                                        bool cached, std::string_view result);
+
+/// render_result() of `result.to_json().dump()`.
 [[nodiscard]] std::string render_result(const Json& id, std::uint64_t hash,
                                         bool cached,
                                         const svc::ScenarioResult& result);

@@ -116,6 +116,26 @@ TEST(Rational, Streaming) {
   EXPECT_EQ(Rational(2, 6).to_string(), "1/3");
 }
 
+TEST(Rational, ToStringMatchesStreamingAtTheExtremes) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const Rational cases[] = {
+      Rational{0},           Rational{1},           Rational{-1},
+      Rational{kMin},        Rational{kMax},        Rational{kMin + 1},
+      Rational{kMin, 3},     Rational{kMax, 2},     Rational{-kMax, kMax - 1},
+      Rational{1, kMax},     Rational{-1, kMax},    Rational{kMax - 1, kMax},
+      Rational{-3, 7},       Rational{22, 7},       Rational{1000000007, 998244353},
+  };
+  for (const Rational& r : cases) {
+    std::ostringstream os;
+    os << r;
+    EXPECT_EQ(r.to_string(), os.str());
+  }
+  EXPECT_EQ(Rational{kMin}.to_string(), "-9223372036854775808");
+  EXPECT_EQ(Rational(-kMax, kMax - 1).to_string(),
+            "-9223372036854775807/9223372036854775806");
+}
+
 TEST(Rational, AdditionOverflowThrows) {
   const Rational huge{std::numeric_limits<std::int64_t>::max()};
   EXPECT_THROW(huge + huge, RationalOverflow);

@@ -778,6 +778,63 @@ TEST(SvcDelta, ServiceEvaluateDeltaMatchesColdService) {
   EXPECT_EQ(broken.find("\"hash\""), std::string::npos) << broken;
 }
 
+TEST(SvcCache, ReloadedSpillHitsServeTheColdBytes) {
+  // Entries hold rendered result bytes; a reload re-renders each spilled
+  // result through ScenarioResult, so even a hand-edited spill — here one
+  // whose result was rewritten with extra whitespace — serves exactly the
+  // bytes a cold evaluation renders.
+  std::vector<svc::ScenarioSpec> specs = small_batch();
+  specs.resize(3);
+  specs.push_back(instance_base());
+  const std::vector<std::string> lines = as_lines(specs);
+
+  svc::Service first(svc::ServiceOptions{1, 16});
+  const std::vector<std::string> cold = wire::answer_batch(first, lines);
+  std::stringstream saved;
+  first.cache().save(saved);
+  const std::string spill = saved.str();
+
+  // Loosen every result (never a spec) with spaces around its punctuation.
+  std::string edited;
+  std::istringstream in(spill);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t at = line.find("\"result\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    std::string loose = line.substr(0, at);
+    for (const char c : line.substr(at)) {
+      if (c == ',' || c == ':' || c == '[' || c == '{') {
+        loose += ' ';
+        loose += c;
+        loose += ' ';
+      } else {
+        loose += c;
+      }
+    }
+    edited += loose + "\n";
+  }
+  ASSERT_NE(edited, spill);
+
+  svc::Service second(svc::ServiceOptions{1, 16});
+  std::stringstream edited_in(edited);
+  EXPECT_EQ(second.cache().load(edited_in), specs.size());
+  for (const svc::ScenarioSpec& spec : specs) {
+    EXPECT_EQ(second.cache().find(spec.canonical()),
+              svc::evaluate_scenario(spec).to_json().dump());
+  }
+  const std::vector<std::string> warm = wire::answer_batch(second, lines);
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_TRUE(is_cached(warm[i])) << warm[i];
+    EXPECT_EQ(result_of(warm[i]), result_of(cold[i])) << i;
+    EXPECT_EQ(warm[i].substr(0, warm[i].find("\"cached\"")),
+              cold[i].substr(0, cold[i].find("\"cached\"")));
+  }
+  // The spill written back is the canonical one again.
+  std::stringstream resaved;
+  second.cache().save(resaved);
+  EXPECT_EQ(resaved.str(), spill);
+}
+
 TEST(SvcDelta, DeltaCountersTrackOutcomesWhenEnabled) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Registry::instance().reset();

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -263,14 +264,81 @@ TEST(WireProtocol, RenderedResponsesMatchDocumentedShapes) {
   EXPECT_EQ(parse_error, R"({"id":"x","error":"bad line"})");
 }
 
+/// Reference oracle for the splice: the response as a Json tree, with the
+/// result tree set as a member, dumped in one pass.
+std::string tree_rendered(const Json& id, std::uint64_t hash, bool cached,
+                          const svc::ScenarioResult& result) {
+  Json response = Json::object();
+  if (!id.is_null()) response.set("id", id);
+  response.set("hash", Json::string(wire::hash_hex(hash)));
+  response.set("cached", Json::boolean(cached));
+  response.set("result", result.to_json());
+  return response.dump();
+}
+
+TEST(WireProtocol, SplicedResultMatchesTheJsonTreeForEveryShape) {
+  std::vector<svc::ScenarioResult> results;
+  svc::ScenarioResult unrouted;
+  unrouted.num_flows = 2;
+  unrouted.macro_rates = {Rational{1, 3}, Rational{-7, 2}};
+  unrouted.macro_throughput = Rational{-19, 6};
+  results.push_back(unrouted);
+
+  svc::ScenarioResult routed = unrouted;
+  routed.routed = true;
+  routed.rates = {Rational{1, 3}, Rational{std::numeric_limits<std::int64_t>::min()}};
+  routed.throughput = Rational{std::numeric_limits<std::int64_t>::max()};
+  routed.throughput_ratio = Rational{1, std::numeric_limits<std::int64_t>::max()};
+  routed.min_rate_ratio = Rational{0};
+  routed.middles = {1, 2};
+  routed.surviving_middles = 2;
+  routed.rerouted = 1;
+  routed.search = svc::SearchStats{12, 34};
+  results.push_back(routed);
+
+  svc::ScenarioResult routed_without_middles = routed;
+  routed_without_middles.middles.clear();
+  routed_without_middles.search.reset();
+  results.push_back(routed_without_middles);
+
+  svc::ScenarioResult replicated = unrouted;
+  replicated.surviving_middles = 0;
+  replicated.replication = svc::ReplicationStats{true, 9, {2, 1}};
+  results.push_back(replicated);
+  replicated.replication = svc::ReplicationStats{false, 4, {}};
+  results.push_back(replicated);
+
+  const std::vector<Json> ids = {
+      Json::null(),
+      Json::number(std::int64_t{-42}),
+      Json::number(2.5),
+      Json::number(1e-7),
+      Json::boolean(true),
+      Json::boolean(false),
+      Json::string("quote\" back\\ newline\n tab\t ctl\x01 utf8 \xc3\xa9"),
+  };
+  for (const svc::ScenarioResult& result : results) {
+    const std::string bytes = result.to_json().dump();
+    for (const Json& id : ids) {
+      for (const bool cached : {false, true}) {
+        const std::string expected = tree_rendered(id, 0x0123456789abcdefULL, cached, result);
+        EXPECT_EQ(wire::render_result(id, 0x0123456789abcdefULL, cached, bytes), expected)
+            << expected;
+        EXPECT_EQ(wire::render_result(id, 0x0123456789abcdefULL, cached, result), expected);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------ pipeline
 
-svc::ScenarioResult fake_result(std::size_t num_flows) {
+/// A rendered result, as Pipeline::complete() and the cache take it.
+std::string fake_result_bytes(std::size_t num_flows) {
   svc::ScenarioResult r;
   r.num_flows = num_flows;
   r.macro_rates.assign(num_flows, Rational{1, 2});
   r.macro_throughput = Rational{static_cast<std::int64_t>(num_flows), 2};
-  return r;
+  return r.to_json().dump();
 }
 
 wire::Pipeline::Admission admit_line(wire::Pipeline& pipeline, std::uint64_t seed) {
@@ -286,13 +354,13 @@ TEST(WirePipeline, OutOfOrderCompletionsComeBackInSequenceOrder) {
   const auto a2 = admit_line(pipeline, 3);
   ASSERT_TRUE(a0.evaluate && a1.evaluate && a2.evaluate);
 
-  pipeline.complete(a2.seq, fake_result(3), "");
+  pipeline.complete(a2.seq, fake_result_bytes(3), "");
   EXPECT_TRUE(pipeline.take_ready().empty());  // head of line still evaluating
-  pipeline.complete(a0.seq, fake_result(1), "");
+  pipeline.complete(a0.seq, fake_result_bytes(1), "");
   const auto first = pipeline.take_ready();
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].find("{\"id\":1,"), 0u);
-  pipeline.complete(a1.seq, fake_result(2), "");
+  pipeline.complete(a1.seq, fake_result_bytes(2), "");
   const auto rest = pipeline.take_ready();
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0].find("{\"id\":2,"), 0u);
@@ -310,7 +378,7 @@ TEST(WirePipeline, DuplicateOfInFlightWaitsAndRendersCached) {
   EXPECT_FALSE(dup.evaluate);  // dedup: never re-evaluates
   EXPECT_TRUE(pipeline.take_ready().empty());
 
-  pipeline.complete(first.seq, fake_result(1), "");
+  pipeline.complete(first.seq, fake_result_bytes(1), "");
   const auto out = pipeline.take_ready();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_NE(out[0].find("\"cached\":false"), std::string::npos);
@@ -343,7 +411,7 @@ TEST(WirePipeline, CacheHitsSkipEvaluation) {
   svc::ResultCache cache(64);
   const std::string canonical =
       svc::ScenarioSpec::from_json(Json::parse(tiny_spec_json(5))).canonical();
-  cache.insert(canonical, fake_result(7));
+  cache.insert(canonical, fake_result_bytes(7));
   wire::Pipeline pipeline(cache);
   EXPECT_FALSE(admit_line(pipeline, 5).evaluate);
   const auto out = pipeline.take_ready();
@@ -359,7 +427,7 @@ TEST(WirePipeline, BudgetAndShedProduceOverloadResponses) {
   // Budget of 1 exhausted: a distinct second spec sheds.
   EXPECT_FALSE(admit_line(pipeline, 2).evaluate);
   // Global watermark shed, even with budget available after completion.
-  pipeline.complete(first.seq, fake_result(1), "");
+  pipeline.complete(first.seq, fake_result_bytes(1), "");
   const auto shed =
       pipeline.admit(R"({"id":9,"spec":)" + tiny_spec_json(3) + "}", /*shed=*/true);
   EXPECT_FALSE(shed.evaluate);
@@ -585,6 +653,68 @@ TEST(WireServer, DeltaRequestsMatchColdEvaluationOverLoopback) {
   }
 }
 
+TEST(WireServer, ObjectiveSwitchDeltaSplicesThePinnedBaseBytes) {
+  // A delta that only switches the objective, on a base already committed,
+  // is answered with the base entry's bytes (svc.delta_result_reuses, no
+  // evaluation), in batch mode and over a socket alike, and those bytes are
+  // the cold answer for the patched spec spelled directly.
+  const svc::ScenarioSpec base =
+      svc::ScenarioSpec::from_json(Json::parse(tiny_spec_json(1)));
+  const std::string delta = R"({"id":"d","delta":{"base":")" +
+                            wire::hash_hex(svc::fnv1a64(base.canonical())) +
+                            R"(","patch":{"objective":"maxmin_lp"}}})";
+  svc::ScenarioSpec patched = base;
+  patched.objective = "maxmin_lp";
+  const std::uint64_t patched_hash = svc::fnv1a64(patched.canonical());
+  svc::Service direct(svc::ServiceOptions{1, 16});
+  const std::string cold = wire::answer_batch(
+      direct, {R"({"id":"d","spec":)" + patched.to_json().dump() + "}"}).at(0);
+  ASSERT_EQ(cold, wire::render_result(Json::string("d"), patched_hash, /*cached=*/false,
+                                      svc::evaluate_scenario(patched)));
+
+  obs::Counter& reuses = obs::Registry::instance().counter("svc.delta_result_reuses");
+  obs::Counter& evaluations = obs::Registry::instance().counter("svc.evaluations");
+  const auto expect_reused = [&](std::uint64_t reuses_before, std::uint64_t evals_before) {
+    if (!obs::kEnabled) return;
+    EXPECT_EQ(reuses.total(), reuses_before + 1);
+    EXPECT_EQ(evaluations.total(), evals_before);
+  };
+
+  {
+    svc::Service service(svc::ServiceOptions{2, 16});
+    (void)wire::answer_batch(service, {tiny_spec_json(1)});
+    const std::uint64_t r0 = reuses.total();
+    const std::uint64_t e0 = evaluations.total();
+    EXPECT_EQ(wire::answer_batch(service, {delta}).at(0), cold);
+    expect_reused(r0, e0);
+  }
+  {
+    svc::Service service(svc::ServiceOptions{2, 16});
+    wire::ServerOptions options;
+    options.workers = 2;
+    wire::Server server(service, options);
+    server.start();
+    wire::Client client;
+    client.connect("127.0.0.1", server.port());
+    (void)client.call(tiny_spec_json(1));  // committed before the delta arrives
+    const std::uint64_t r0 = reuses.total();
+    const std::uint64_t e0 = evaluations.total();
+    EXPECT_EQ(client.call(delta), cold);
+    expect_reused(r0, e0);
+    client.close();
+    server.drain();
+  }
+  {
+    // The answer is the pinned entry's bytes, verbatim: a base entry holding
+    // marker bytes answers its objective switch with those bytes.
+    svc::Service service(svc::ServiceOptions{1, 16});
+    service.cache().insert(base.canonical(), fake_result_bytes(5));
+    EXPECT_EQ(wire::answer_batch(service, {delta}).at(0),
+              wire::render_result(Json::string("d"), patched_hash, /*cached=*/false,
+                                  fake_result_bytes(5)));
+  }
+}
+
 TEST(WireClient, SendRefusesPayloadOverItsFrameLimitWithoutTearing) {
   svc::Service service(svc::ServiceOptions{1, 64});
   wire::Server server(service, wire::ServerOptions{});
@@ -744,9 +874,9 @@ TEST(WirePipeline, AdminResponsesInterleaveInArrivalOrder) {
 
   // Even with the later evaluation finishing first, the admin payload holds
   // its arrival-order position behind the head-of-line request.
-  pipeline.complete(second.seq, fake_result(2), "");
+  pipeline.complete(second.seq, fake_result_bytes(2), "");
   EXPECT_TRUE(pipeline.take_ready().empty());
-  pipeline.complete(first.seq, fake_result(1), "");
+  pipeline.complete(first.seq, fake_result_bytes(1), "");
   const auto out = pipeline.take_ready();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].find("{\"id\":1,"), 0u);
@@ -795,7 +925,7 @@ TEST(WireCounters, BudgetAndWatermarkShedsBumpCounter) {
   ASSERT_TRUE(first.evaluate);
   EXPECT_FALSE(admit_line(pipeline, 2).evaluate);  // budget exhausted
   EXPECT_EQ(counter_total("wire.overload_sheds"), before + 1);
-  pipeline.complete(first.seq, fake_result(1), "");
+  pipeline.complete(first.seq, fake_result_bytes(1), "");
   const auto shed =
       pipeline.admit(R"({"id":9,"spec":)" + tiny_spec_json(3) + "}", /*shed=*/true);
   EXPECT_FALSE(shed.evaluate);  // watermark shed with budget available
@@ -835,7 +965,7 @@ TEST(WireCounters, DeltaTrafficCountsHitsOnDedupAndCache) {
   const auto dup = pipeline.admit(R"({"id":2,"delta":{"base":")" + base_hash + R"("}})");
   EXPECT_FALSE(dup.evaluate);
   EXPECT_EQ(counter_total("svc.delta_hits"), hits_before + 1);
-  pipeline.complete(first.seq, fake_result(1), "");
+  pipeline.complete(first.seq, fake_result_bytes(1), "");
   (void)pipeline.take_ready();
   // Base now committed to the shared cache: the same delta is a cache hit.
   const auto again = pipeline.admit(R"({"id":3,"delta":{"base":")" + base_hash + R"("}})");
