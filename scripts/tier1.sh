@@ -17,7 +17,8 @@
 # equivalence tests, the water-fill fast-path differential suite and the
 # wire / service tests (result bytes cross the reader, worker and writer
 # threads) under ThreadSanitizer, the fault / workload / rate-control / search /
-# wire-socket tests under ASan+UBSan, and the CLOSFAIR_OBS=OFF
+# wire-socket tests and the instance-text and spec parser tests under
+# ASan+UBSan, and the CLOSFAIR_OBS=OFF
 # configuration (instrumentation compiled out) with its unit tests plus a
 # link-level check that the obs TUs are empty, and a build of the end-to-end
 # benchmark (e2ebench/, its own CMake project compiled against the library's
@@ -253,13 +254,13 @@ cmake --build build-tsan -j "$JOBS" --target test_search_engine test_waterfill_f
     -R 'SearchEngine|WaterfillFastpath|^Wire|^Svc')
 
 echo
-echo "== tier 1: fault/workload/rate-control/wire tests under ASan+UBSan =="
+echo "== tier 1: fault/workload/rate-control/wire/parser tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCLOSFAIR_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" --target \
     test_fault test_workload test_rate_control test_search_engine test_wire \
-    test_waterfill_fastpath
+    test_waterfill_fastpath test_text_format test_svc
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-    -R 'Fault|Workload|Trace|Rcp|Aimd|SearchEngine|Wire|WaterfillFastpath')
+    -R 'Fault|Workload|Trace|Rcp|Aimd|SearchEngine|Wire|WaterfillFastpath|TextFormat|Svc')
 
 echo
 echo "== tier 1: CLOSFAIR_OBS=OFF build (instrumentation compiled out) =="

@@ -1,42 +1,58 @@
 #include "io/text_format.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
 namespace closfair {
 namespace {
 
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
-  std::ostringstream os;
-  os << "line " << line << ": " << message;
-  throw ParseError(os.str());
+  throw ParseError("line " + std::to_string(line) + ": " + message);
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // trailing comment
-    tokens.push_back(token);
+std::string quoted(std::string_view token) {
+  std::string out{"'"};
+  out.append(token);
+  out += '\'';
+  return out;
+}
+
+// The whitespace operator>> splits on under the classic locale.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+// Split `line` into views of its tokens; a token starting with '#' begins a
+// trailing comment and ends the line.
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  std::size_t i = 0;
+  while (true) {
+    while (i < line.size() && is_space(line[i])) ++i;
+    if (i == line.size() || line[i] == '#') return;
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) ++i;
+    tokens.push_back(line.substr(start, i - start));
   }
-  return tokens;
 }
 
-int parse_int(const std::string& token, std::size_t line, const char* what) {
+int parse_int(std::string_view token, std::size_t line, const char* what) {
   int value = 0;
-  const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    fail(line, std::string{"expected integer for "} + what + ", got '" + token + "'");
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    fail(line, std::string{"expected integer for "} + what + ", got " + quoted(token));
   }
   return value;
 }
 
-Rational parse_rational(const std::string& token, std::size_t line, const char* what) {
+Rational parse_rational(std::string_view token, std::size_t line, const char* what) {
   const auto slash = token.find('/');
-  if (slash == std::string::npos) {
+  if (slash == std::string_view::npos) {
     return Rational{parse_int(token, line, what)};
   }
   const int num = parse_int(token.substr(0, slash), line, what);
@@ -46,15 +62,16 @@ Rational parse_rational(const std::string& token, std::size_t line, const char* 
 }
 
 // key=value option on the `clos` line.
-std::pair<std::string, std::string> split_option(const std::string& token, std::size_t line) {
+std::pair<std::string_view, std::string_view> split_option(std::string_view token,
+                                                           std::size_t line) {
   const auto eq = token.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-    fail(line, "expected key=value, got '" + token + "'");
+  if (eq == std::string_view::npos || eq == 0 || eq + 1 == token.size()) {
+    fail(line, "expected key=value, got " + quoted(token));
   }
   return {token.substr(0, eq), token.substr(eq + 1)};
 }
 
-void parse_clos_line(const std::vector<std::string>& tokens, std::size_t line,
+void parse_clos_line(const std::vector<std::string_view>& tokens, std::size_t line,
                      InstanceSpec& spec, bool& have_clos) {
   if (have_clos) fail(line, "duplicate 'clos' line");
   have_clos = true;
@@ -69,6 +86,10 @@ void parse_clos_line(const std::vector<std::string>& tokens, std::size_t line,
     if (key == "n") {
       const int n = parse_int(value, line, "n");
       if (n < 1) fail(line, "n must be >= 1");
+      if (n > std::numeric_limits<int>::max() / 2) {
+        fail(line, "n must be <= " + std::to_string(std::numeric_limits<int>::max() / 2) +
+                       " (2n tors must fit in int)");
+      }
       params = ClosNetwork::Params{n, 2 * n, n, Rational{1}};
       paper_form = true;
     } else if (key == "middles") {
@@ -82,8 +103,11 @@ void parse_clos_line(const std::vector<std::string>& tokens, std::size_t line,
       saw_servers = true;
     } else if (key == "capacity") {
       params.link_capacity = parse_rational(value, line, "capacity");
+      if (params.link_capacity.is_negative() || params.link_capacity.is_zero()) {
+        fail(line, "capacity must be positive");
+      }
     } else {
-      fail(line, "unknown clos option '" + key + "'");
+      fail(line, "unknown clos option " + quoted(key));
     }
   }
   if (paper_form && (saw_middles || saw_tors || saw_servers)) {
@@ -92,10 +116,15 @@ void parse_clos_line(const std::vector<std::string>& tokens, std::size_t line,
   if (!paper_form && !(saw_middles && saw_tors && saw_servers)) {
     fail(line, "clos needs n=... or all of middles=, tors=, servers=");
   }
+  if (params.num_middles < 1 || params.num_tors < 1 || params.servers_per_tor < 1) {
+    fail(line, "middles/tors/servers must be >= 1");
+  }
   spec.params = params;
 }
 
-void parse_flow_line(const std::vector<std::string>& tokens, std::size_t line,
+// Parses one flow line into `spec`; returns whether its coordinates lie
+// within the declared clos dimensions.
+bool parse_flow_line(const std::vector<std::string_view>& tokens, std::size_t line,
                      InstanceSpec& spec) {
   // flow A B -> C D [xK] [@R]
   if (tokens.size() < 6 || tokens[3] != "->") {
@@ -111,7 +140,7 @@ void parse_flow_line(const std::vector<std::string>& tokens, std::size_t line,
   int multiplicity = 1;
   std::optional<Rational> rate;
   for (std::size_t i = 6; i < tokens.size(); ++i) {
-    const std::string& t = tokens[i];
+    const std::string_view t = tokens[i];
     if (t.size() >= 2 && t[0] == 'x') {
       multiplicity = parse_int(t.substr(1), line, "multiplicity");
       if (multiplicity < 1) fail(line, "multiplicity must be >= 1");
@@ -119,65 +148,86 @@ void parse_flow_line(const std::vector<std::string>& tokens, std::size_t line,
       rate = parse_rational(t.substr(1), line, "rate");
       if (rate->is_negative()) fail(line, "target rate must be non-negative");
     } else {
-      fail(line, "unexpected token '" + t + "' after flow (want xK or @rate)");
+      fail(line, "unexpected token " + quoted(t) + " after flow (want xK or @rate)");
     }
   }
-  for (int c = 0; c < multiplicity; ++c) {
-    spec.flows.push_back(flow);
-    spec.rates.push_back(rate);
-  }
+  const auto count = static_cast<std::size_t>(multiplicity);
+  spec.flows.insert(spec.flows.end(), count, flow);
+  spec.rates.insert(spec.rates.end(), count, rate);
+
+  const ClosNetwork::Params& p = spec.params;
+  return flow.src_tor >= 1 && flow.src_tor <= p.num_tors && flow.dst_tor >= 1 &&
+         flow.dst_tor <= p.num_tors && flow.src_server >= 1 &&
+         flow.src_server <= p.servers_per_tor && flow.dst_server >= 1 &&
+         flow.dst_server <= p.servers_per_tor;
+}
+
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 }  // namespace
 
-InstanceSpec parse_instance(const std::string& text) {
-  std::istringstream is(text);
-  return parse_instance_stream(is);
-}
-
-InstanceSpec parse_instance_stream(std::istream& in) {
+InstanceSpec parse_instance(std::string_view text) {
   InstanceSpec spec;
   bool have_clos = false;
-  std::string line;
+  // Coordinates are checked against the dimensions only once every line
+  // has parsed, so a syntax error on any line takes precedence.
+  std::size_t first_out_of_range = 0;
+  std::vector<std::string_view> tokens;
   std::size_t line_number = 0;
-  while (std::getline(in, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
     ++line_number;
-    const std::vector<std::string> tokens = tokenize(line);
+    tokenize(text.substr(pos, eol - pos), tokens);
+    pos = eol + 1;
     if (tokens.empty()) continue;
     if (tokens[0] == "clos") {
       parse_clos_line(tokens, line_number, spec, have_clos);
     } else if (tokens[0] == "flow") {
       if (!have_clos) fail(line_number, "'flow' before 'clos'");
-      parse_flow_line(tokens, line_number, spec);
+      if (!parse_flow_line(tokens, line_number, spec) && first_out_of_range == 0) {
+        first_out_of_range = line_number;
+      }
     } else {
-      fail(line_number, "unknown directive '" + tokens[0] + "'");
+      fail(line_number, "unknown directive " + quoted(tokens[0]));
     }
   }
   if (!have_clos) throw ParseError("missing 'clos' line");
-
-  // Validate coordinates against the declared dimensions.
-  for (const FlowSpec& f : spec.flows) {
-    CF_CHECK_MSG(f.src_tor >= 1 && f.src_tor <= spec.params.num_tors &&
-                     f.dst_tor >= 1 && f.dst_tor <= spec.params.num_tors &&
-                     f.src_server >= 1 && f.src_server <= spec.params.servers_per_tor &&
-                     f.dst_server >= 1 && f.dst_server <= spec.params.servers_per_tor,
-                 "flow coordinates out of range for declared clos dimensions");
+  if (first_out_of_range != 0) {
+    fail(first_out_of_range, "flow coordinates out of range for declared clos dimensions");
   }
   return spec;
 }
 
+InstanceSpec parse_instance_stream(std::istream& in) {
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return parse_instance(text);
+}
+
 std::string format_instance(const InstanceSpec& spec) {
-  std::ostringstream os;
+  std::string out;
+  out.reserve(64 + 24 * spec.flows.size());
   const auto& p = spec.params;
   if (p.num_tors == 2 * p.num_middles && p.servers_per_tor == p.num_middles &&
       p.link_capacity == Rational{1}) {
-    os << "clos n=" << p.num_middles << '\n';
+    out += "clos n=";
+    append_int(out, p.num_middles);
   } else {
-    os << "clos middles=" << p.num_middles << " tors=" << p.num_tors
-       << " servers=" << p.servers_per_tor;
-    if (!(p.link_capacity == Rational{1})) os << " capacity=" << p.link_capacity;
-    os << '\n';
+    out += "clos middles=";
+    append_int(out, p.num_middles);
+    out += " tors=";
+    append_int(out, p.num_tors);
+    out += " servers=";
+    append_int(out, p.servers_per_tor);
+    if (!(p.link_capacity == Rational{1})) {
+      out += " capacity=";
+      out += p.link_capacity.to_string();
+    }
   }
+  out += '\n';
   // Coalesce consecutive identical flows (same endpoints and target rate)
   // into multiplicities.
   const bool with_rates = spec.rates.size() == spec.flows.size();
@@ -188,14 +238,26 @@ std::string format_instance(const InstanceSpec& spec) {
       ++j;
     }
     const FlowSpec& f = spec.flows[i];
-    os << "flow " << f.src_tor << ' ' << f.src_server << " -> " << f.dst_tor << ' '
-       << f.dst_server;
-    if (j - i > 1) os << " x" << (j - i);
-    if (with_rates && spec.rates[i].has_value()) os << " @" << *spec.rates[i];
-    os << '\n';
+    out += "flow ";
+    append_int(out, f.src_tor);
+    out += ' ';
+    append_int(out, f.src_server);
+    out += " -> ";
+    append_int(out, f.dst_tor);
+    out += ' ';
+    append_int(out, f.dst_server);
+    if (j - i > 1) {
+      out += " x";
+      append_int(out, j - i);
+    }
+    if (with_rates && spec.rates[i].has_value()) {
+      out += " @";
+      out += spec.rates[i]->to_string();
+    }
+    out += '\n';
     i = j;
   }
-  return os.str();
+  return out;
 }
 
 void write_rates_csv(std::ostream& out, const FlowCollection& flows,

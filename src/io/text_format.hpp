@@ -16,8 +16,10 @@
 //
 // `flow a b -> c d [xK] [@R]` adds K copies of (s_a^b, t_c^d) (K defaults
 // to 1), each carrying an optional target rate R — used by replication
-// feasibility tooling (`closfair_cli --replicate`). Blank lines and `#`
-// comments are ignored. Errors carry line numbers.
+// feasibility tooling (`closfair_cli --replicate`). Dimensions must be >= 1,
+// the capacity must be positive, `clos n=N` needs 2N to fit in an int, and
+// flow coordinates must lie within the declared dimensions. Blank lines and `#` comments are
+// ignored. Errors carry line numbers.
 //
 // Results are serialized as CSV (one row per flow) for plotting pipelines.
 #pragma once
@@ -26,6 +28,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/allocation.hpp"
@@ -61,13 +64,14 @@ struct InstanceSpec {
   }
 };
 
-/// Parse an instance from text. Throws ParseError on malformed input and
-/// ContractViolation on out-of-range coordinates.
-[[nodiscard]] InstanceSpec parse_instance(const std::string& text);
+/// Parse an instance from text. Throws ParseError on malformed input,
+/// including out-of-range coordinates (reported at the first such flow line).
+[[nodiscard]] InstanceSpec parse_instance(std::string_view text);
+/// Read the whole stream, then parse_instance() it.
 [[nodiscard]] InstanceSpec parse_instance_stream(std::istream& in);
 
 /// Render an InstanceSpec back to the text format (round-trips through
-/// parse_instance).
+/// parse_instance). Builds one string, no stream.
 [[nodiscard]] std::string format_instance(const InstanceSpec& spec);
 
 /// CSV with one row per flow: index, endpoints, optional label, and one

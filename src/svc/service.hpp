@@ -10,6 +10,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "svc/cache.hpp"
 #include "svc/spec.hpp"
@@ -24,13 +25,15 @@ namespace closfair::svc {
 [[nodiscard]] ScenarioResult evaluate_scenario(const ScenarioSpec& spec);
 
 /// Decide how a delta of a base scenario whose result is known gets its
-/// answer. True when only the objective changed: routing search never reads
+/// answer; `base_canonical` is the base's canonical bytes (the pinned cache
+/// key). True when only the objective changed: routing search never reads
 /// the objective, and the exact LP and water-fill compute the same unique
 /// allocation, so the base result *is* the cold result of `spec` (counted as
 /// svc.delta_result_reuses). False for any other patch, which must be
-/// evaluated cold (counted as svc.delta_warm_starts). Call it once per
+/// evaluated cold (counted as svc.delta_warm_starts). `spec` is a delta that
+/// missed the cache, so it is never the base itself. Call it once per
 /// warm-started delta.
-[[nodiscard]] bool reuses_base_result(const ScenarioSpec& spec, const ScenarioSpec& base_spec);
+[[nodiscard]] bool reuses_base_result(const ScenarioSpec& spec, std::string_view base_canonical);
 
 /// Evaluate `spec`, a delta of a base scenario whose result is known: the
 /// base result when reuses_base_result(), else evaluate_scenario(spec).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "io/text_format.hpp"
@@ -123,6 +124,16 @@ Json rates_json(const std::vector<Rational>& rates) {
 
 // ------------------------------------------------------------------ topology
 
+/// A required int-typed topology dimension: a value int cannot hold is
+/// rejected, never truncated.
+int get_dimension(const Json& obj, const char* key) {
+  const std::int64_t v = get_int(require(obj, key, "topology"), key);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    fail(std::string{"topology: "} + key + " does not fit in int");
+  }
+  return static_cast<int>(v);
+}
+
 TopologySpec parse_topology(const Json& obj) {
   TopologySpec topo;
   const Json* kind = obj.find("kind");
@@ -138,13 +149,17 @@ TopologySpec parse_topology(const Json& obj) {
       }
       const std::int64_t paper_n = get_int(*n, "n");
       if (paper_n < 1) fail("topology: n must be >= 1");
+      if (paper_n > std::numeric_limits<int>::max() / 2) {
+        fail("topology: n must be <= " +
+             std::to_string(std::numeric_limits<int>::max() / 2) +
+             " (2n tors must fit in int)");
+      }
       const int nn = static_cast<int>(paper_n);
       topo.params = ClosNetwork::Params{nn, 2 * nn, nn, Rational{1}};
     } else {
-      topo.params.num_middles = static_cast<int>(get_int(require(obj, "middles", "topology"), "middles"));
-      topo.params.num_tors = static_cast<int>(get_int(require(obj, "tors", "topology"), "tors"));
-      topo.params.servers_per_tor =
-          static_cast<int>(get_int(require(obj, "servers", "topology"), "servers"));
+      topo.params.num_middles = get_dimension(obj, "middles");
+      topo.params.num_tors = get_dimension(obj, "tors");
+      topo.params.servers_per_tor = get_dimension(obj, "servers");
       const Json* cap = obj.find("capacity");
       topo.params.link_capacity = cap == nullptr ? Rational{1} : get_rational(*cap, "capacity");
       if (topo.params.num_middles < 1 || topo.params.num_tors < 1 ||
@@ -158,9 +173,8 @@ TopologySpec parse_topology(const Json& obj) {
   } else if (topo.kind == "macro") {
     check_keys(obj, {"kind", "tors", "servers", "capacity"}, "topology");
     topo.params.num_middles = 1;
-    topo.params.num_tors = static_cast<int>(get_int(require(obj, "tors", "topology"), "tors"));
-    topo.params.servers_per_tor =
-        static_cast<int>(get_int(require(obj, "servers", "topology"), "servers"));
+    topo.params.num_tors = get_dimension(obj, "tors");
+    topo.params.servers_per_tor = get_dimension(obj, "servers");
     const Json* cap = obj.find("capacity");
     topo.params.link_capacity = cap == nullptr ? Rational{1} : get_rational(*cap, "capacity");
     if (topo.params.num_tors < 1 || topo.params.servers_per_tor < 1) {
@@ -170,6 +184,7 @@ TopologySpec parse_topology(const Json& obj) {
     check_keys(obj, {"kind", "k"}, "topology");
     const std::int64_t k = get_int(require(obj, "k", "topology"), "k");
     if (k < 2 || k % 2 != 0) fail("topology: fattree k must be even and >= 2");
+    if (k > std::numeric_limits<int>::max()) fail("topology: k does not fit in int");
     topo.fattree_k = static_cast<int>(k);
   } else {
     fail("topology: unknown kind '" + topo.kind + "'");
@@ -207,7 +222,9 @@ Json topology_json(const TopologySpec& topo) {
 
 // ------------------------------------------------------------------ workload
 
-WorkloadSpec parse_workload(const Json& obj) {
+/// For an inline instance, `instance_params` receives the params of its
+/// `clos` line (they define the topology).
+WorkloadSpec parse_workload(const Json& obj, ClosNetwork::Params& instance_params) {
   WorkloadSpec wl;
   const Json* instance = obj.find("instance");
   const Json* generator = obj.find("generator");
@@ -221,7 +238,9 @@ WorkloadSpec parse_workload(const Json& obj) {
     try {
       // Canonicalize immediately: the stored text is format_instance's
       // output, the io-layer serialize→parse→serialize fixed point.
-      wl.instance = format_instance(parse_instance(text));
+      const InstanceSpec parsed = parse_instance(text);
+      wl.instance = format_instance(parsed);
+      instance_params = parsed.params;
     } catch (const std::exception& e) {
       fail(std::string{"workload.instance: "} + e.what());
     }
@@ -508,7 +527,7 @@ ScenarioSpec ScenarioSpec::from_json(const Json& json) {
   ScenarioSpec spec;
   const Json& workload = require(json, "workload", "spec");
   if (!workload.is_object()) fail("'workload' must be an object");
-  spec.workload = parse_workload(workload);
+  spec.workload = parse_workload(workload, spec.topology.params);
 
   const Json* topology = json.find("topology");
   if (!spec.workload.instance.empty()) {
@@ -516,7 +535,6 @@ ScenarioSpec ScenarioSpec::from_json(const Json& json) {
       fail("an inline workload.instance defines the topology; drop the 'topology' group");
     }
     spec.topology.kind = "clos";
-    spec.topology.params = parse_instance(spec.workload.instance).params;
   } else {
     if (topology == nullptr) fail("spec requires 'topology'");
     if (!topology->is_object()) fail("'topology' must be an object");

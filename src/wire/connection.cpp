@@ -59,8 +59,7 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
       hash = svc::fnv1a64(canonical);
       request.spec = std::move(res.spec);
       if (res.base.has_value()) {
-        warm = std::make_shared<WarmStart>(
-            WarmStart{std::move(*res.base), std::move(*res.base_spec)});
+        warm = std::make_shared<WarmStart>(WarmStart{std::move(*res.base)});
       }
     } else {
       // Resolution failed before a patched spec existed: answer like a
@@ -141,7 +140,7 @@ void Pipeline::evaluate(Admission admission) {
     // Reusing the base's bytes is byte-identical to a cold evaluation by
     // construction, so the response stream cannot tell which one ran.
     if (admission.warm != nullptr &&
-        svc::reuses_base_result(admission.spec, admission.warm->base_spec)) {
+        svc::reuses_base_result(admission.spec, admission.warm->pin.canonical())) {
       result = admission.warm->pin.bytes();
     } else {
       result = svc::evaluate_scenario(admission.spec).to_json().dump();

@@ -44,12 +44,11 @@
 namespace closfair::wire {
 
 /// Warm-start context for an admitted delta request: the pinned base cache
-/// entry (stable references for the worker, exempt from eviction while the
-/// pin lives) plus the parsed base spec. Carried by shared_ptr so the
-/// Admission/Job copies share one pin.
+/// entry, whose canonical and result bytes are stable references for the
+/// worker and exempt from eviction while the pin lives. Carried by
+/// shared_ptr so the Admission/Job copies share one pin.
 struct WarmStart {
   svc::ResultCache::BasePin pin;
-  svc::ScenarioSpec base_spec;
 };
 
 struct PipelineLimits {

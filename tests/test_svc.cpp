@@ -270,6 +270,79 @@ TEST(SvcSpec, PolicyMatrixOnMacro) {
   }
 }
 
+// Topology dimensions are ints: a JSON value int cannot hold is rejected,
+// never truncated (4294967297 would alias 1), and so is a paper n whose 2n
+// tors would overflow.
+std::string workload_spec(const std::string& topology) {
+  return R"({"topology":)" + topology + R"(,"workload":{"generator":"permutation"}})";
+}
+
+TEST(SvcSpec, ClosPaperNMustLeaveRoomFor2n) {
+  const std::string too_big = "topology: n must be <= 1073741823 (2n tors must fit in int)";
+  EXPECT_EQ(spec_error(workload_spec(R"({"kind":"clos","n":4294967297})")), too_big);
+  EXPECT_EQ(spec_error(workload_spec(R"({"kind":"clos","n":1073741824})")), too_big);
+  EXPECT_EQ(parse_spec(workload_spec(R"({"kind":"clos","n":1073741823})"))
+                .topology.params.num_tors,
+            2147483646);
+}
+
+TEST(SvcSpec, ClosMiddlesMustFitInInt) {
+  EXPECT_EQ(spec_error(workload_spec(
+                R"({"kind":"clos","middles":4294967297,"tors":2,"servers":1})")),
+            "topology: middles does not fit in int");
+  EXPECT_EQ(spec_error(workload_spec(
+                R"({"kind":"clos","middles":-4294967295,"tors":2,"servers":1})")),
+            "topology: middles does not fit in int");
+}
+
+TEST(SvcSpec, ClosTorsMustFitInInt) {
+  EXPECT_EQ(spec_error(workload_spec(
+                R"({"kind":"clos","middles":1,"tors":4294967298,"servers":1})")),
+            "topology: tors does not fit in int");
+}
+
+TEST(SvcSpec, ClosServersMustFitInInt) {
+  EXPECT_EQ(spec_error(workload_spec(
+                R"({"kind":"clos","middles":1,"tors":2,"servers":4294967297})")),
+            "topology: servers does not fit in int");
+}
+
+TEST(SvcSpec, MacroTorsMustFitInInt) {
+  EXPECT_EQ(spec_error(workload_spec(R"({"kind":"macro","tors":4294967298,"servers":1})")),
+            "topology: tors does not fit in int");
+}
+
+TEST(SvcSpec, MacroServersMustFitInInt) {
+  EXPECT_EQ(spec_error(workload_spec(R"({"kind":"macro","tors":2,"servers":4294967297})")),
+            "topology: servers does not fit in int");
+}
+
+TEST(SvcSpec, FatTreeKMustFitInInt) {
+  EXPECT_EQ(spec_error(workload_spec(R"({"kind":"fattree","k":4294967298})")),
+            "topology: k does not fit in int");
+  EXPECT_EQ(spec_error(workload_spec(R"({"kind":"fattree","k":-4294967298})")),
+            "topology: fattree k must be even and >= 2");
+}
+
+// An inline instance is validated when it parses: its errors carry the
+// instance line, never a contract violation naming a source file.
+TEST(SvcSpec, InlineInstanceValidationErrorsAreLineNumbered) {
+  const auto inline_error = [](const std::string& instance) {
+    return spec_error(R"({"workload":{"instance":")" + instance + R"("}})");
+  };
+  EXPECT_EQ(inline_error(R"(clos middles=2 tors=2 servers=1 capacity=0\nflow 1 1 -> 2 1\n)"),
+            "workload.instance: line 1: capacity must be positive");
+  EXPECT_EQ(inline_error(R"(clos middles=2 tors=2 servers=1 capacity=-1/2\n)"),
+            "workload.instance: line 1: capacity must be positive");
+  EXPECT_EQ(inline_error(R"(clos middles=0 tors=2 servers=1\nflow 1 1 -> 2 1\n)"),
+            "workload.instance: line 1: middles/tors/servers must be >= 1");
+  EXPECT_EQ(inline_error(R"(clos n=1\nflow 1 1 -> 2 1\nflow 1 1 -> 3 1\n)"),
+            "workload.instance: line 3: flow coordinates out of range for declared clos "
+            "dimensions");
+  EXPECT_EQ(inline_error(R"(clos n=1073741824\n)"),
+            "workload.instance: line 1: n must be <= 1073741823 (2n tors must fit in int)");
+}
+
 TEST(SvcSpec, RerouteDeadRequiresStart) {
   // Without a start the flag has nothing to repair; accepting it would give
   // the same scenario a second content address.
