@@ -143,9 +143,9 @@ std::vector<std::string> mixed_traffic(std::size_t count, std::uint64_t seed) {
 /// and classifies, matching latencies FIFO (responses are in order).
 LoadResult run_load_point(const std::vector<std::string>& lines, double target_rps,
                           unsigned workers, wire::ServerOptions options) {
-  svc::Service service(svc::ServiceOptions{workers, 4096});
+  svc::ResultCache cache(4096);
   options.workers = workers;
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
 
   wire::Client client;
@@ -306,8 +306,8 @@ int main(int argc, char** argv) {
   // The batch-mode reference is computed before the registry reset: the
   // gated snapshot counts the servers' work only.
   const std::vector<std::string> lines = mixed_request_lines();
-  svc::Service reference_service(svc::ServiceOptions{1, 512});
-  const std::vector<std::string> expected = wire::answer_batch(reference_service, lines);
+  svc::ResultCache reference_cache(512);
+  const std::vector<std::string> expected = wire::answer_batch(reference_cache, 1, lines);
   obs::Registry::instance().reset();
 
   Json report = Json::object();
@@ -318,10 +318,10 @@ int main(int argc, char** argv) {
             << "--- byte identity vs batch mode (+ concurrent admin scraper) ---\n";
   TextTable table_id({"workers", "responses", "identical", "scrapes"});
   for (const unsigned workers : {1u, 2u, 8u}) {
-    svc::Service service(svc::ServiceOptions{workers, 512});
+    svc::ResultCache cache(512);
     wire::ServerOptions options;
     options.workers = workers;
-    wire::Server server(service, options);
+    wire::Server server(cache, options);
     server.start();
 
     // Concurrent admin client on its own connection: a fixed number of
@@ -529,10 +529,10 @@ int main(int argc, char** argv) {
   // --------------------------------------------------------------- 4. drain
   std::cout << "--- drain with evaluations in flight ---\n";
   {
-    svc::Service service(svc::ServiceOptions{2, 512});
+    svc::ResultCache cache(512);
     wire::ServerOptions options;
     options.workers = 2;
-    wire::Server server(service, options);
+    wire::Server server(cache, options);
     server.start();
     wire::Client client;
     client.connect("127.0.0.1", server.port());

@@ -276,9 +276,9 @@ int main(int argc, char** argv) {
   std::string reference;
   double cold_1worker = 0.0;
   for (const unsigned workers : {1u, 2u, 8u}) {
-    svc::Service service(svc::ServiceOptions{workers, 512});
+    svc::ResultCache cache(512);
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<std::string> responses = wire::answer_batch(service, batch);
+    const std::vector<std::string> responses = wire::answer_batch(cache, workers, batch);
     const double secs = seconds_since(start);
     if (workers == 1u) cold_1worker = secs;
 
@@ -308,9 +308,9 @@ int main(int argc, char** argv) {
   std::cout << "--- cache: full-batch resubmission ---\n";
   double repeat_hit_rate = 0.0;
   {
-    svc::Service service(svc::ServiceOptions{2, 512});
-    (void)wire::answer_batch(service, batch);
-    const std::vector<std::string> warm = wire::answer_batch(service, batch);
+    svc::ResultCache cache(512);
+    (void)wire::answer_batch(cache, 2, batch);
+    const std::vector<std::string> warm = wire::answer_batch(cache, 2, batch);
     std::size_t hits = 0;
     for (const std::string& response : warm) hits += is_cached(response) ? 1 : 0;
     repeat_hit_rate = static_cast<double>(hits) / static_cast<double>(warm.size());
@@ -324,11 +324,11 @@ int main(int argc, char** argv) {
   const int kWarmRounds = 10;
   double warm_hit_rate = 0.0;
   {
-    svc::Service service(svc::ServiceOptions{2, 512});
-    (void)wire::answer_batch(service, exhaustive);
+    svc::ResultCache cache(512);
+    (void)wire::answer_batch(cache, 2, exhaustive);
     std::size_t warm_hits = 0;
     for (int round = 0; round < kWarmRounds; ++round) {
-      for (const std::string& response : wire::answer_batch(service, exhaustive)) {
+      for (const std::string& response : wire::answer_batch(cache, 2, exhaustive)) {
         warm_hits += is_cached(response) ? 1 : 0;
       }
     }
@@ -396,15 +396,15 @@ int main(int argc, char** argv) {
       // committed base), and the delta again — now a cache hit on the
       // patched spec (svc.delta_hits). scripts/bench.sh holds those
       // scripted warm starts and hits exactly.
-      svc::Service warm_service(svc::ServiceOptions{workers, 64});
-      const std::string base = wire::answer_batch(warm_service, {dc.base}).at(0);
+      svc::ResultCache warm_cache(64);
+      const std::string base = wire::answer_batch(warm_cache, workers, {dc.base}).at(0);
       check(has_result(base), std::string("delta base (") + dc.name + ") evaluates: " + base);
-      const std::string warm = wire::answer_batch(warm_service, {dc.delta}).at(0);
-      check(is_cached(wire::answer_batch(warm_service, {dc.delta}).at(0)),
+      const std::string warm = wire::answer_batch(warm_cache, workers, {dc.delta}).at(0);
+      check(is_cached(wire::answer_batch(warm_cache, workers, {dc.delta}).at(0)),
             std::string("delta ") + dc.name + " resubmission served from cache");
 
-      svc::Service cold_service(svc::ServiceOptions{workers, 64});
-      const std::string cold = wire::answer_batch(cold_service, {dc.patched}).at(0);
+      svc::ResultCache cold_cache(64);
+      const std::string cold = wire::answer_batch(cold_cache, workers, {dc.patched}).at(0);
       check(has_result(cold), std::string("delta ") + dc.name + " cold evaluation: " + cold);
       identical = identical && warm == cold;
       check(warm == cold, std::string("delta ") + dc.name + " warm == cold bytes at " +
@@ -423,19 +423,19 @@ int main(int argc, char** argv) {
   std::cout << "--- cache: cold vs warm (exhaustive cells; best of " << kTimingReps
             << " interleaved windows of process CPU time) ---\n";
   {
-    svc::Service primed(svc::ServiceOptions{1, 512});
-    (void)wire::answer_batch(primed, exhaustive);
+    svc::ResultCache primed(512);
+    (void)wire::answer_batch(primed, 1, exhaustive);
     const auto [cold_secs, warm_secs] = best_interleaved(
         [&] {
-          svc::Service fresh(svc::ServiceOptions{1, 512});
+          svc::ResultCache fresh(512);
           const double t0 = process_cpu_seconds();
-          (void)wire::answer_batch(fresh, exhaustive);
+          (void)wire::answer_batch(fresh, 1, exhaustive);
           return process_cpu_seconds() - t0;
         },
         [&] {
           const double t0 = process_cpu_seconds();
           for (int round = 0; round < kWarmRounds; ++round) {
-            (void)wire::answer_batch(primed, exhaustive);
+            (void)wire::answer_batch(primed, 1, exhaustive);
           }
           return (process_cpu_seconds() - t0) / kWarmRounds;
         });
@@ -474,16 +474,16 @@ int main(int argc, char** argv) {
       // base, or the patched spec spelled directly.
       const auto [cold_secs, warm_secs] = best_interleaved(
           [&] {
-            svc::Service fresh(svc::ServiceOptions{1, 64});
+            svc::ResultCache fresh(64);
             const double t0 = process_cpu_seconds();
-            (void)wire::answer_batch(fresh, {dc.patched});
+            (void)wire::answer_batch(fresh, 1, {dc.patched});
             return process_cpu_seconds() - t0;
           },
           [&] {
-            svc::Service with_base(svc::ServiceOptions{1, 64});
-            (void)wire::answer_batch(with_base, {dc.base});
+            svc::ResultCache with_base(64);
+            (void)wire::answer_batch(with_base, 1, {dc.base});
             const double t0 = process_cpu_seconds();
-            (void)wire::answer_batch(with_base, {dc.delta});
+            (void)wire::answer_batch(with_base, 1, {dc.delta});
             return process_cpu_seconds() - t0;
           });
       const double speedup = cold_secs / warm_secs;

@@ -50,7 +50,7 @@
 #include "io/json_export.hpp"
 #include "obs/obs.hpp"
 #include "obs/rt.hpp"
-#include "svc/service.hpp"
+#include "svc/cache.hpp"
 #include "wire/server.hpp"
 
 using namespace closfair;
@@ -68,7 +68,7 @@ int usage() {
   return 2;
 }
 
-int run_batch(svc::Service& service, const std::string& in_path,
+int run_batch(svc::ResultCache& cache, unsigned workers, const std::string& in_path,
               const std::string& out_path) {
   std::ifstream in_file;
   if (!in_path.empty()) {
@@ -95,12 +95,12 @@ int run_batch(svc::Service& service, const std::string& in_path,
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") != std::string::npos) lines.push_back(line);
   }
-  wire::answer_batch(service, lines, out);
+  wire::answer_batch(cache, workers, lines, out);
   out.flush();
   return 0;
 }
 
-int run_listen(svc::Service& service, const std::string& listen,
+int run_listen(svc::ResultCache& cache, const std::string& listen,
                const wire::ServerOptions& base, const std::string& port_file) {
   wire::ServerOptions options = base;
   const std::size_t colon = listen.rfind(':');
@@ -112,7 +112,7 @@ int run_listen(svc::Service& service, const std::string& listen,
   options.port = static_cast<std::uint16_t>(examples::checked_int(
       listen.substr(colon + 1), "--listen port", 0, 65535, kUsage));
 
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   try {
     server.start();
   } catch (const std::exception& e) {
@@ -137,7 +137,6 @@ int run_listen(svc::Service& service, const std::string& listen,
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned workers = 1;
   std::size_t cache_capacity = 1024;
   std::string cache_file;
   std::string in_path;
@@ -157,7 +156,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--workers") {
-      workers = static_cast<unsigned>(
+      server_options.workers = static_cast<unsigned>(
           examples::checked_int(next(), "--workers", 1, 256, kUsage));
     } else if (arg == "--cache") {
       cache_capacity = examples::checked_size(next(), "--cache", 1 << 24, kUsage);
@@ -203,12 +202,12 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  svc::Service service(svc::ServiceOptions{workers, cache_capacity});
+  svc::ResultCache cache(cache_capacity);
   if (!cache_file.empty()) {
     std::ifstream spill(cache_file);
     if (spill) {
       try {
-        service.cache().load(spill);
+        cache.load(spill);
       } catch (const std::exception& e) {
         std::cerr << "cannot load cache spill " << cache_file << ": " << e.what() << '\n';
         return 1;
@@ -218,10 +217,9 @@ int main(int argc, char** argv) {
 
   int status;
   if (listen.empty()) {
-    status = run_batch(service, in_path, out_path);
+    status = run_batch(cache, server_options.workers, in_path, out_path);
   } else {
-    server_options.workers = workers;
-    status = run_listen(service, listen, server_options, port_file);
+    status = run_listen(cache, listen, server_options, port_file);
   }
   if (status != 0) return status;
 
@@ -231,7 +229,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write cache spill " << cache_file << '\n';
       return 1;
     }
-    service.cache().save(spill);
+    cache.save(spill);
   }
   if (!metrics_path.empty()) {
     std::ofstream metrics(metrics_path);

@@ -19,8 +19,9 @@
 # threads) under ThreadSanitizer, the fault / workload / rate-control / search /
 # wire-socket tests and the instance-text and spec parser tests under
 # ASan+UBSan, and the CLOSFAIR_OBS=OFF
-# configuration (instrumentation compiled out) with its unit tests plus a
-# link-level check that the obs TUs are empty, and a build of the end-to-end
+# configuration (instrumentation compiled out) with its unit tests, a
+# link-level check that the obs TUs are empty and a batch-mode closfair_serve
+# run diffed against the smoke and delta goldens, and a build of the end-to-end
 # benchmark (e2ebench/, its own CMake project compiled against the library's
 # API) with its generator self-test.
 #
@@ -267,7 +268,7 @@ echo "== tier 1: CLOSFAIR_OBS=OFF build (instrumentation compiled out) =="
 cmake -B build-noobs -S . -DCLOSFAIR_OBS=OFF >/dev/null
 cmake --build build-noobs -j "$JOBS" --target \
     test_obs test_search_engine test_waterfill test_waterfill_fastpath \
-    test_simplex test_maxmin_lp test_exhaustive
+    test_simplex test_maxmin_lp test_exhaustive closfair_serve
 for tu in obs/obs.cpp.o obs/trace.cpp.o obs/rt.cpp.o; do
   defined=$(nm "build-noobs/src/CMakeFiles/closfair.dir/$tu" | grep -c ' T ' || true)
   if [ "$defined" -ne 0 ]; then
@@ -278,6 +279,17 @@ done
 echo "obs TUs are empty under OBS=OFF (no defined symbols)"
 (cd build-noobs && ctest --output-on-failure -j "$JOBS" \
     -R 'Obs|SearchEngine|Waterfill|Simplex|MaxMin|Exhaustive')
+# The request path with the stub RequestTrace / WorkerStamps: batch mode
+# through the evaluation pool must still answer the committed goldens.
+for smoke in serve_smoke serve_delta; do
+  build-noobs/examples/closfair_serve --workers 2 \
+      --in "tests/golden/${smoke}_requests.jsonl" --out "$SMOKE_OUT"
+  if ! diff -u "tests/golden/${smoke}_responses.jsonl" "$SMOKE_OUT"; then
+    echo "FAIL: OBS=OFF batch-mode $smoke responses diverged from the golden"
+    exit 1
+  fi
+done
+echo "OBS=OFF closfair_serve answered the smoke and delta goldens byte-identically"
 
 echo
 echo "== tier 1: e2ebench builds against the library and passes its self-test =="

@@ -63,9 +63,11 @@ class ResultCache {
   bool insert(const std::string& canonical, std::string bytes);
 
   /// find(), parsed back into a ScenarioResult.
+  /// Survives only for e2ebench/replay.cpp (ROADMAP item 6).
   [[nodiscard]] std::optional<ScenarioResult> lookup(const std::string& canonical);
 
   /// insert() of the result's rendered bytes.
+  /// Survives only for e2ebench/replay.cpp (ROADMAP item 6).
   bool insert(const std::string& canonical, const ScenarioResult& result);
 
   /// RAII pin on one cache entry. While the pin is alive the entry cannot be
@@ -85,6 +87,7 @@ class ResultCache {
     [[nodiscard]] const std::string& canonical() const { return it_->spec; }
     [[nodiscard]] const std::string& bytes() const { return it_->result; }
     /// bytes(), parsed back into a ScenarioResult.
+    /// Survives only for e2ebench/replay.cpp (ROADMAP item 6).
     [[nodiscard]] ScenarioResult result() const;
 
    private:

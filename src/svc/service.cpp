@@ -420,9 +420,4 @@ DeltaResolution resolve_delta(
   return res;
 }
 
-Service::Service(ServiceOptions options)
-    : options_(options), cache_(options.cache_capacity) {
-  if (options_.workers < 1) options_.workers = 1;
-}
-
 }  // namespace closfair::svc

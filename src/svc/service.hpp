@@ -1,12 +1,11 @@
-// Scenario evaluation over the routing / fairness / fault stack, plus the
-// Service that holds the content-addressed result cache every request path
-// shares. Turning request lines into response lines — dedup, cache lookup,
-// worker dispatch, seq-order commit — is the wire Pipeline's job
+// Scenario evaluation over the routing / fairness / fault stack, and delta
+// resolution against the content-addressed result cache (svc/cache.hpp).
+// Turning request lines into response lines — dedup, cache lookup, worker
+// dispatch, seq-order commit — is the wire Pipeline's job
 // (wire/connection.hpp), for batch mode and sockets alike; the determinism
 // contract (docs/SERVICE.md) is kept there.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
@@ -38,6 +37,7 @@ namespace closfair::svc {
 /// Evaluate `spec`, a delta of a base scenario whose result is known: the
 /// base result when reuses_base_result(), else evaluate_scenario(spec).
 /// Either way the bytes equal a cold evaluation's.
+/// Survives only for e2ebench/replay.cpp (ROADMAP item 6).
 [[nodiscard]] ScenarioResult evaluate_scenario_warm(const ScenarioSpec& spec,
                                                     const ScenarioSpec& base_spec,
                                                     const ScenarioResult& base_result);
@@ -49,7 +49,8 @@ namespace closfair::svc {
 struct DeltaResolution {
   ScenarioSpec spec;
   std::optional<ResultCache::BasePin> base;  ///< pin held across the warm evaluation
-  std::optional<ScenarioSpec> base_spec;     ///< set iff `base` is
+  /// Set iff `base` is. Survives only for e2ebench/replay.cpp (ROADMAP item 6).
+  std::optional<ScenarioSpec> base_spec;
   std::string error;
 
   [[nodiscard]] bool ok() const { return error.empty(); }
@@ -66,25 +67,5 @@ struct DeltaResolution {
 [[nodiscard]] DeltaResolution resolve_delta(
     ResultCache& cache, const DeltaRequest& delta,
     const std::function<std::optional<std::string>(std::uint64_t)>& inflight = nullptr);
-
-struct ServiceOptions {
-  unsigned workers = 1;          ///< evaluation threads (>= 1)
-  std::size_t cache_capacity = 1024;
-};
-
-/// What every request path shares: the content-addressed result cache and
-/// the evaluation thread count. Requests reach it through the wire Pipeline
-/// only — wire::answer_batch in process, wire::Server over sockets.
-class Service {
- public:
-  explicit Service(ServiceOptions options = {});
-
-  [[nodiscard]] ResultCache& cache() { return cache_; }
-  [[nodiscard]] const ServiceOptions& options() const { return options_; }
-
- private:
-  ServiceOptions options_;
-  ResultCache cache_;
-};
 
 }  // namespace closfair::svc

@@ -40,6 +40,18 @@ std::int64_t get_int(const Json& value, const char* what) {
   return value.as_int();
 }
 
+/// An int-typed field: a JSON integer no less than `lo`. A value an int
+/// cannot hold is rejected with a reason naming `key`, never truncated
+/// (4294967297 would alias 1).
+int get_int_field(const Json& value, const char* where, const char* key, int lo) {
+  const std::int64_t v = get_int(value, key);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    fail(std::string{where} + ": " + key + " does not fit in int");
+  }
+  if (v < lo) fail(std::string{where} + ": " + key + " must be >= " + std::to_string(lo));
+  return static_cast<int>(v);
+}
+
 std::int64_t get_int_or(const Json& obj, const char* key, std::int64_t fallback) {
   const Json* found = obj.find(key);
   return found == nullptr ? fallback : get_int(*found, key);
@@ -90,15 +102,12 @@ Json rational_json(const Rational& r) {
   return r.is_integer() ? Json::number(r.num()) : Json::string(r.to_string());
 }
 
-MiddleAssignment get_middles(const Json& value, const char* what) {
-  if (!value.is_array()) fail(std::string{"'"} + what + "' must be an array");
+/// An array of 1-based middle indices.
+MiddleAssignment get_middles(const Json& value, const char* where, const char* key) {
+  if (!value.is_array()) fail(std::string{where} + ": " + key + " must be an array");
   MiddleAssignment middles;
   middles.reserve(value.size());
-  for (const Json& item : value.items()) {
-    const std::int64_t m = get_int(item, what);
-    if (m < 1) fail(std::string{"'"} + what + "' entries must be >= 1");
-    middles.push_back(static_cast<int>(m));
-  }
+  for (const Json& item : value.items()) middles.push_back(get_int_field(item, where, key, 1));
   return middles;
 }
 
@@ -124,16 +133,6 @@ Json rates_json(const std::vector<Rational>& rates) {
 
 // ------------------------------------------------------------------ topology
 
-/// A required int-typed topology dimension: a value int cannot hold is
-/// rejected, never truncated.
-int get_dimension(const Json& obj, const char* key) {
-  const std::int64_t v = get_int(require(obj, key, "topology"), key);
-  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
-    fail(std::string{"topology: "} + key + " does not fit in int");
-  }
-  return static_cast<int>(v);
-}
-
 TopologySpec parse_topology(const Json& obj) {
   TopologySpec topo;
   const Json* kind = obj.find("kind");
@@ -157,15 +156,13 @@ TopologySpec parse_topology(const Json& obj) {
       const int nn = static_cast<int>(paper_n);
       topo.params = ClosNetwork::Params{nn, 2 * nn, nn, Rational{1}};
     } else {
-      topo.params.num_middles = get_dimension(obj, "middles");
-      topo.params.num_tors = get_dimension(obj, "tors");
-      topo.params.servers_per_tor = get_dimension(obj, "servers");
+      topo.params.num_middles =
+          get_int_field(require(obj, "middles", "topology"), "topology", "middles", 1);
+      topo.params.num_tors = get_int_field(require(obj, "tors", "topology"), "topology", "tors", 1);
+      topo.params.servers_per_tor =
+          get_int_field(require(obj, "servers", "topology"), "topology", "servers", 1);
       const Json* cap = obj.find("capacity");
       topo.params.link_capacity = cap == nullptr ? Rational{1} : get_rational(*cap, "capacity");
-      if (topo.params.num_middles < 1 || topo.params.num_tors < 1 ||
-          topo.params.servers_per_tor < 1) {
-        fail("topology: middles/tors/servers must be >= 1");
-      }
       if (topo.params.link_capacity.is_negative() || topo.params.link_capacity.is_zero()) {
         fail("topology: capacity must be positive");
       }
@@ -173,13 +170,11 @@ TopologySpec parse_topology(const Json& obj) {
   } else if (topo.kind == "macro") {
     check_keys(obj, {"kind", "tors", "servers", "capacity"}, "topology");
     topo.params.num_middles = 1;
-    topo.params.num_tors = get_dimension(obj, "tors");
-    topo.params.servers_per_tor = get_dimension(obj, "servers");
+    topo.params.num_tors = get_int_field(require(obj, "tors", "topology"), "topology", "tors", 1);
+    topo.params.servers_per_tor =
+        get_int_field(require(obj, "servers", "topology"), "topology", "servers", 1);
     const Json* cap = obj.find("capacity");
     topo.params.link_capacity = cap == nullptr ? Rational{1} : get_rational(*cap, "capacity");
-    if (topo.params.num_tors < 1 || topo.params.servers_per_tor < 1) {
-      fail("topology: tors/servers must be >= 1");
-    }
   } else if (topo.kind == "fattree") {
     check_keys(obj, {"kind", "k"}, "topology");
     const std::int64_t k = get_int(require(obj, "k", "topology"), "k");
@@ -269,7 +264,7 @@ WorkloadSpec parse_workload(const Json& obj, ClosNetwork::Params& instance_param
   } else if (wl.generator == "hotspot") {
     check_keys(obj, {"generator", "count", "hot_tor", "hot_fraction", "seed"}, "workload");
     require_count();
-    wl.hot_tor = static_cast<int>(get_int(require(obj, "hot_tor", "workload"), "hot_tor"));
+    wl.hot_tor = get_int_field(require(obj, "hot_tor", "workload"), "workload", "hot_tor", 1);
     const Json& fraction = require(obj, "hot_fraction", "workload");
     if (!fraction.is_number()) fail("workload: hot_fraction must be a number");
     wl.hot_fraction = fraction.as_double();
@@ -279,12 +274,13 @@ WorkloadSpec parse_workload(const Json& obj, ClosNetwork::Params& instance_param
   } else if (wl.generator == "incast") {
     check_keys(obj, {"generator", "count", "dst_tor", "dst_server", "seed"}, "workload");
     require_count();
-    wl.dst_tor = static_cast<int>(get_int(require(obj, "dst_tor", "workload"), "dst_tor"));
+    wl.dst_tor = get_int_field(require(obj, "dst_tor", "workload"), "workload", "dst_tor", 1);
     wl.dst_server =
-        static_cast<int>(get_int(require(obj, "dst_server", "workload"), "dst_server"));
+        get_int_field(require(obj, "dst_server", "workload"), "workload", "dst_server", 1);
   } else if (wl.generator == "stride") {
     check_keys(obj, {"generator", "stride"}, "workload");
-    wl.stride = static_cast<int>(get_int(require(obj, "stride", "workload"), "stride"));
+    wl.stride = get_int_field(require(obj, "stride", "workload"), "workload", "stride",
+                              std::numeric_limits<int>::min());
   } else if (wl.generator == "all_to_all") {
     check_keys(obj, {"generator"}, "workload");
   } else {
@@ -337,9 +333,9 @@ RoutingSpec parse_routing(const Json& obj) {
   check_keys(obj, policy->keys, "routing");
 
   if (policy->requires_start) {
-    routing.start = get_middles(require(obj, "start", "routing"), "start");
+    routing.start = get_middles(require(obj, "start", "routing"), "routing", "start");
   } else if (const Json* start = obj.find("start"); start != nullptr) {
-    routing.start = get_middles(*start, "start");
+    routing.start = get_middles(*start, "routing", "start");
   }
   const std::int64_t attempts = get_int_or(obj, "attempts", 8);
   if (attempts < 1) fail("routing: attempts must be >= 1");
@@ -408,8 +404,8 @@ fault::LinkDeration parse_derated_link(const Json& item, const char* where) {
   } else {
     fail(std::string{where} + ": stage must be 'uplink' or 'downlink'");
   }
-  d.tor = static_cast<int>(get_int(require(item, "tor", "derated link"), "tor"));
-  d.middle = static_cast<int>(get_int(require(item, "middle", "derated link"), "middle"));
+  d.tor = get_int_field(require(item, "tor", "derated link"), where, "tor", 1);
+  d.middle = get_int_field(require(item, "middle", "derated link"), where, "middle", 1);
   d.factor = get_rational(require(item, "factor", "derated link"), "factor");
   if (d.factor.is_negative() || Rational{1} < d.factor) {
     fail(std::string{where} + ": factor must lie in [0, 1]");
@@ -424,12 +420,7 @@ FaultSpec parse_fault(const Json& obj) {
              "fault");
   FaultSpec fs;
   if (const Json* failed = obj.find("failed_middles"); failed != nullptr) {
-    if (!failed->is_array()) fail("fault: failed_middles must be an array");
-    for (const Json& item : failed->items()) {
-      const std::int64_t m = get_int(item, "failed_middles");
-      if (m < 1) fail("fault: failed_middles entries must be >= 1");
-      fs.scenario.failed_middles.push_back(static_cast<int>(m));
-    }
+    fs.scenario.failed_middles = get_middles(*failed, "fault", "failed_middles");
     // Canonical: ascending, duplicates removed (the mask is idempotent).
     std::sort(fs.scenario.failed_middles.begin(), fs.scenario.failed_middles.end());
     fs.scenario.failed_middles.erase(std::unique(fs.scenario.failed_middles.begin(),
@@ -448,7 +439,7 @@ FaultSpec parse_fault(const Json& obj) {
       if (!item.is_object()) fail("fault: degraded_pods entries must be objects");
       check_keys(item, {"tor", "factor"}, "fault.degraded_pods");
       fault::PodDegradation pd;
-      pd.tor = static_cast<int>(get_int(require(item, "tor", "degraded_pods"), "tor"));
+      pd.tor = get_int_field(require(item, "tor", "degraded_pods"), "fault", "tor", 1);
       pd.factor = get_rational(require(item, "factor", "degraded_pods"), "factor");
       if (pd.factor.is_negative() || Rational{1} < pd.factor) {
         fail("fault: factor must lie in [0, 1]");
@@ -456,16 +447,16 @@ FaultSpec parse_fault(const Json& obj) {
       fs.scenario.degraded_pods.push_back(pd);
     }
   }
-  const std::int64_t sample_middles = get_int_or(obj, "sample_middles", 0);
-  if (sample_middles < 0) fail("fault: sample_middles must be >= 0");
-  fs.sample_middles = static_cast<int>(sample_middles);
+  if (const Json* sample = obj.find("sample_middles"); sample != nullptr) {
+    fs.sample_middles = get_int_field(*sample, "fault", "sample_middles", 0);
+  }
   fs.link_failure_p = get_double_or(obj, "link_failure_p", 0.0);
   if (fs.link_failure_p < 0.0 || fs.link_failure_p > 1.0) {
     fail("fault: link_failure_p must lie in [0, 1]");
   }
-  const std::int64_t worst = get_int_or(obj, "worst_case_outage", 0);
-  if (worst < 0) fail("fault: worst_case_outage must be >= 0");
-  fs.worst_case_outage = static_cast<int>(worst);
+  if (const Json* worst = obj.find("worst_case_outage"); worst != nullptr) {
+    fs.worst_case_outage = get_int_field(*worst, "fault", "worst_case_outage", 0);
+  }
   fs.seed = get_u64_or(obj, "seed", 1);
   if (fs.seed != 1 && fs.sample_middles == 0 && fs.link_failure_p == 0.0) {
     fail("fault: seed without a sampler has no effect");
@@ -628,15 +619,13 @@ SpecPatch SpecPatch::from_json(const Json& json) {
       check_keys(item, {"src_tor", "src_server", "dst_tor", "dst_server", "rate"},
                  "patch.add_flows");
       FlowPatch fp;
-      fp.src_tor = static_cast<int>(get_int(require(item, "src_tor", "add_flows"), "src_tor"));
-      fp.src_server =
-          static_cast<int>(get_int(require(item, "src_server", "add_flows"), "src_server"));
-      fp.dst_tor = static_cast<int>(get_int(require(item, "dst_tor", "add_flows"), "dst_tor"));
-      fp.dst_server =
-          static_cast<int>(get_int(require(item, "dst_server", "add_flows"), "dst_server"));
-      if (fp.src_tor < 1 || fp.src_server < 1 || fp.dst_tor < 1 || fp.dst_server < 1) {
-        fail("patch: flow coordinates must be >= 1");
-      }
+      const auto coordinate = [&item](const char* key) {
+        return get_int_field(require(item, key, "add_flows"), "patch", key, 1);
+      };
+      fp.src_tor = coordinate("src_tor");
+      fp.src_server = coordinate("src_server");
+      fp.dst_tor = coordinate("dst_tor");
+      fp.dst_server = coordinate("dst_server");
       if (const Json* rate = item.find("rate"); rate != nullptr) {
         fp.rate = get_rational(*rate, "rate");
         if (fp.rate->is_negative()) fail("patch: rate must be non-negative");
@@ -658,12 +647,7 @@ SpecPatch SpecPatch::from_json(const Json& json) {
     }
   }
   if (const Json* failed = json.find("fail_middles"); failed != nullptr) {
-    if (!failed->is_array()) fail("patch: fail_middles must be an array");
-    for (const Json& item : failed->items()) {
-      const std::int64_t m = get_int(item, "fail_middles");
-      if (m < 1) fail("patch: fail_middles entries must be >= 1");
-      patch.fail_middles.push_back(static_cast<int>(m));
-    }
+    patch.fail_middles = get_middles(*failed, "patch", "fail_middles");
   }
   if (const Json* derated = json.find("derate_links"); derated != nullptr) {
     if (!derated->is_array()) fail("patch: derate_links must be an array");
@@ -828,11 +812,11 @@ ScenarioResult ScenarioResult::from_json(const Json& json) {
     result.min_rate_ratio =
         get_rational(require(json, "min_rate_ratio", "result"), "min_rate_ratio");
     if (const Json* middles = json.find("middles"); middles != nullptr) {
-      result.middles = get_middles(*middles, "middles");
+      result.middles = get_middles(*middles, "result", "middles");
     }
   }
   if (const Json* surviving = json.find("surviving_middles"); surviving != nullptr) {
-    result.surviving_middles = static_cast<int>(get_int(*surviving, "surviving_middles"));
+    result.surviving_middles = get_int_field(*surviving, "result", "surviving_middles", 0);
   }
   if (const Json* rerouted = json.find("rerouted"); rerouted != nullptr) {
     result.rerouted = static_cast<std::size_t>(get_int(*rerouted, "rerouted"));
@@ -855,7 +839,7 @@ ScenarioResult ScenarioResult::from_json(const Json& json) {
     s.nodes_explored = static_cast<std::uint64_t>(
         get_int(require(*stats, "nodes_explored", "replication"), "nodes_explored"));
     if (const Json* witness = stats->find("witness"); witness != nullptr) {
-      s.witness = get_middles(*witness, "witness");
+      s.witness = get_middles(*witness, "replication", "witness");
     }
     result.replication = s;
   }

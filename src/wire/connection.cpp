@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "svc/service.hpp"
 #include "util/check.hpp"
 #include "wire/protocol.hpp"
 
@@ -44,7 +45,7 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
   // pending set IS this connection's in-flight view, so a delta pipelined
   // behind its own base always finds it: either committed (pinned, warm) or
   // still pending (cold evaluation of the patched spec; byte-identical).
-  std::shared_ptr<WarmStart> warm;
+  std::optional<svc::ResultCache::BasePin> base;
   if (request.is_delta()) {
     const auto inflight_base = [this](std::uint64_t want) -> std::optional<std::string> {
       // Pending first occurrences are exactly the slots holding a canonical.
@@ -58,9 +59,7 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
       canonical = res.spec.canonical();
       hash = svc::fnv1a64(canonical);
       request.spec = std::move(res.spec);
-      if (res.base.has_value()) {
-        warm = std::make_shared<WarmStart>(WarmStart{std::move(*res.base)});
-      }
+      base = std::move(res.base);
     } else {
       // Resolution failed before a patched spec existed: answer like a
       // parse error (no hash).
@@ -109,7 +108,7 @@ Pipeline::Admission Pipeline::admit(std::string_view line, bool shed,
     ++inflight_;
     admission.evaluate = true;
     admission.spec = std::move(*request.spec);
-    admission.warm = std::move(warm);
+    admission.base = std::move(base);
   }
   slot.trace.mark(obs::rt::Stage::kAdmit);
 
@@ -139,9 +138,9 @@ void Pipeline::evaluate(Admission admission) {
   try {
     // Reusing the base's bytes is byte-identical to a cold evaluation by
     // construction, so the response stream cannot tell which one ran.
-    if (admission.warm != nullptr &&
-        svc::reuses_base_result(admission.spec, admission.warm->pin.canonical())) {
-      result = admission.warm->pin.bytes();
+    if (admission.base.has_value() &&
+        svc::reuses_base_result(admission.spec, admission.base->canonical())) {
+      result = admission.base->bytes();
     } else {
       result = svc::evaluate_scenario(admission.spec).to_json().dump();
     }
@@ -149,7 +148,7 @@ void Pipeline::evaluate(Admission admission) {
     OBS_COUNTER_INC("svc.errors");
     error = e.what();
   }
-  admission.warm.reset();  // release the base pin as soon as the result exists
+  admission.base.reset();  // release the base pin as soon as the result exists
   obs::rt::end_work(stamps);
   OBS_COUNTER_INC("wire.evaluations");
   complete(admission.seq, std::move(result), std::move(error), stamps);
@@ -235,11 +234,6 @@ std::size_t Pipeline::inflight() const {
 bool Pipeline::idle() const {
   std::lock_guard<std::mutex> lock(mu_);
   return slots_.empty();
-}
-
-std::uint64_t Pipeline::admitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_seq_;
 }
 
 std::uint64_t Pipeline::overloads() const {

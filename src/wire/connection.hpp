@@ -28,8 +28,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -37,19 +37,10 @@
 
 #include "obs/rt.hpp"
 #include "svc/cache.hpp"
-#include "svc/service.hpp"
 #include "svc/spec.hpp"
 #include "util/json.hpp"
 
 namespace closfair::wire {
-
-/// Warm-start context for an admitted delta request: the pinned base cache
-/// entry, whose canonical and result bytes are stable references for the
-/// worker and exempt from eviction while the pin lives. Carried by
-/// shared_ptr so the Admission/Job copies share one pin.
-struct WarmStart {
-  svc::ResultCache::BasePin pin;
-};
 
 struct PipelineLimits {
   /// Evaluations admitted but not yet completed before admit() sheds with an
@@ -70,7 +61,9 @@ class Pipeline {
     std::uint64_t seq = 0;
     bool evaluate = false;    ///< caller must evaluate `spec`, then complete(seq)
     svc::ScenarioSpec spec;   ///< valid only when `evaluate`
-    std::shared_ptr<WarmStart> warm;  ///< pinned delta base (may be null)
+    /// A delta's pinned base entry: its canonical and result bytes stay
+    /// valid, and the entry unevictable, until evaluate() releases the pin.
+    std::optional<svc::ResultCache::BasePin> base;
   };
 
   /// Admit the next request line, in arrival order. `shed` additionally
@@ -133,9 +126,6 @@ class Pipeline {
 
   /// True when every admitted request has been returned by take_ready().
   [[nodiscard]] bool idle() const;
-
-  /// Requests admitted so far (== the next seq to be assigned).
-  [[nodiscard]] std::uint64_t admitted() const;
 
   /// Overload responses issued so far (budget or shed).
   [[nodiscard]] std::uint64_t overloads() const;

@@ -12,6 +12,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -58,53 +61,97 @@ void drain_signal_handler(int) {
 
 }  // namespace
 
-void answer_batch(svc::Service& service, const std::vector<std::string>& lines,
-                  std::ostream& out) {
-  Pipeline pipeline(service.cache(), PipelineLimits{std::max<std::size_t>(lines.size(), 1)});
-  std::mutex mu;
-  std::condition_variable work_cv;   // jobs queued, or admission finished
-  std::condition_variable ready_cv;  // an evaluation completed
-  std::deque<Pipeline::Admission> jobs;
-  bool admitting = true;
-  std::uint64_t completed = 0;
+/// The one evaluation pool behind both front ends: a FIFO of admitted
+/// evaluations, each run by Pipeline::evaluate on one of at most `workers`
+/// threads. A thread starts with each submitted job until the count is
+/// reached, so a batch of only hits or parse errors spawns none and workers
+/// start while admission still runs. depth() — the watermark input — counts
+/// jobs pending or executing: it rises at submit and falls once evaluate
+/// returns, before the job's `done` step. finish() runs every queued job,
+/// then joins; nothing may be submitted after it.
+class EvalPool {
+ public:
+  explicit EvalPool(unsigned workers) : workers_(std::max(workers, 1u)) {}
+  ~EvalPool() { finish(); }
 
-  const auto work = [&] {
-    while (true) {
-      Pipeline::Admission job;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        work_cv.wait(lock, [&] { return !jobs.empty() || !admitting; });
-        if (jobs.empty()) return;
-        job = std::move(jobs.front());
-        jobs.pop_front();
-      }
-      pipeline.evaluate(std::move(job));
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++completed;
-      }
-      ready_cv.notify_one();
+  /// Queue `admission` for `pipeline`. `done` runs on the worker after
+  /// evaluate returns, and must keep `pipeline` alive until then.
+  void submit(Pipeline& pipeline, Pipeline::Admission admission,
+              std::function<void()> done) {
+    const std::size_t depth = depth_.fetch_add(1, std::memory_order_relaxed) + 1;
+    OBS_GAUGE_SET("wire.eval_queue_depth", depth);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      jobs_.push_back(Job{&pipeline, std::move(admission), std::move(done)});
+      if (threads_.size() < workers_) threads_.emplace_back([this] { work(); });
     }
+    cv_.notify_one();
+  }
+
+  [[nodiscard]] std::size_t depth() const { return depth_.load(std::memory_order_relaxed); }
+
+  void finish() {
+    std::vector<std::thread> threads;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      finishing_ = true;
+      threads.swap(threads_);
+    }
+    cv_.notify_all();
+    for (std::thread& thread : threads) thread.join();
+  }
+
+ private:
+  struct Job {
+    Pipeline* pipeline;
+    Pipeline::Admission admission;
+    std::function<void()> done;
   };
 
-  // Workers start with the first evaluations, so a batch of cache hits (or
-  // no lines at all) spawns no thread.
-  std::vector<std::thread> pool;
+  void work() {
+    while (true) {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return !jobs_.empty() || finishing_; });
+      if (jobs_.empty()) return;  // finishing, and nothing left to run
+      Job job = std::move(jobs_.front());
+      jobs_.pop_front();
+      lock.unlock();
+      job.pipeline->evaluate(std::move(job.admission));
+      const std::size_t depth = depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
+      OBS_GAUGE_SET("wire.eval_queue_depth", depth);
+      job.done();
+    }
+  }
+
+  const unsigned workers_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Job> jobs_;
+  std::vector<std::thread> threads_;
+  bool finishing_ = false;
+  std::atomic<std::size_t> depth_{0};
+};
+
+void answer_batch(svc::ResultCache& cache, unsigned workers,
+                  const std::vector<std::string>& lines, std::ostream& out) {
+  Pipeline pipeline(cache, PipelineLimits{std::max<std::size_t>(lines.size(), 1)});
+  struct Progress {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::uint64_t completed = 0;
+  } progress;
+  EvalPool pool(workers);  // joined before `pipeline` and `progress` go
   for (const std::string& line : lines) {
     Pipeline::Admission admission = pipeline.admit(line);
     if (!admission.evaluate) continue;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      jobs.push_back(std::move(admission));
-    }
-    work_cv.notify_one();
-    if (pool.size() < service.options().workers) pool.emplace_back(work);
+    pool.submit(pipeline, std::move(admission), [&progress] {
+      {
+        std::lock_guard<std::mutex> lock(progress.mu);
+        ++progress.completed;
+      }
+      progress.cv.notify_one();
+    });
   }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    admitting = false;
-  }
-  work_cv.notify_all();
 
   // Stream responses as their seq prefix becomes ready.
   std::uint64_t seen = 0;
@@ -112,17 +159,16 @@ void answer_batch(svc::Service& service, const std::vector<std::string>& lines,
     for (const std::string& payload : pipeline.take_ready()) out << payload << '\n';
     pipeline.commit_written();
     if (pipeline.idle()) break;
-    std::unique_lock<std::mutex> lock(mu);
-    ready_cv.wait(lock, [&] { return completed != seen; });
-    seen = completed;
+    std::unique_lock<std::mutex> lock(progress.mu);
+    progress.cv.wait(lock, [&] { return progress.completed != seen; });
+    seen = progress.completed;
   }
-  for (std::thread& worker : pool) worker.join();
 }
 
-std::vector<std::string> answer_batch(svc::Service& service,
+std::vector<std::string> answer_batch(svc::ResultCache& cache, unsigned workers,
                                       const std::vector<std::string>& lines) {
   std::ostringstream out;
-  answer_batch(service, lines, out);
+  answer_batch(cache, workers, lines, out);
   std::vector<std::string> responses;
   std::istringstream in(out.str());
   for (std::string line; std::getline(in, line);) responses.push_back(line);
@@ -130,8 +176,9 @@ std::vector<std::string> answer_batch(svc::Service& service,
 }
 
 /// Per-connection state: the socket, the deterministic pipeline, and the
-/// reader/writer thread pair. Jobs hold a shared_ptr so a completion can
-/// always deliver, even into a connection that is tearing down.
+/// reader/writer thread pair. Each pool job's `done` step holds a
+/// shared_ptr, so a completion can always deliver, even into a connection
+/// that is tearing down.
 struct Server::Connection {
   int fd = -1;
   Pipeline pipeline;
@@ -160,13 +207,15 @@ struct Server::Connection {
   }
 };
 
-Server::Server(svc::Service& service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {
-  workers_ = options_.workers != 0 ? options_.workers : service_.options().workers;
-  if (workers_ < 1) workers_ = 1;
+Server::Server(svc::ResultCache& cache, ServerOptions options)
+    : cache_(cache), options_(std::move(options)) {
+  if (options_.workers < 1) options_.workers = 1;
+  pool_ = std::make_unique<EvalPool>(options_.workers);
 }
 
 Server::~Server() { drain(); }
+
+std::size_t Server::queue_depth() const { return pool_->depth(); }
 
 void Server::start() {
   {
@@ -202,10 +251,6 @@ void Server::start() {
     throw WireError("pipe(): " + std::string(strerror(errno)));
   }
 
-  pool_.reserve(workers_);
-  for (unsigned w = 0; w < workers_; ++w) {
-    pool_.emplace_back([this] { worker_loop(); });
-  }
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
@@ -226,7 +271,7 @@ void Server::accept_loop() {
     OBS_COUNTER_INC("wire.conns_accepted");
 
     auto conn = std::make_shared<Connection>(
-        fd, service_.cache(), PipelineLimits{options_.max_inflight_per_conn},
+        fd, cache_, PipelineLimits{options_.max_inflight_per_conn},
         conn_id);
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
     conn->writer = std::thread([this, conn] { writer_loop(conn); });
@@ -262,12 +307,11 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
           conn->wake();
           continue;
         }
-        const bool shed = queue_depth_.load(std::memory_order_relaxed) >=
-                          options_.queue_high_watermark;
+        const bool shed = pool_->depth() >= options_.queue_high_watermark;
         Pipeline::Admission admission =
             conn->pipeline.admit(*frame, shed, recv_ns);
         if (admission.evaluate) {
-          enqueue(Job{conn, std::move(admission)});
+          pool_->submit(conn->pipeline, std::move(admission), [conn] { conn->wake(); });
         }
         conn->wake();  // non-evaluate admissions are ready immediately
       }
@@ -340,33 +384,6 @@ void Server::writer_loop(const std::shared_ptr<Connection>& conn) {
   conn->finished.store(true);
 }
 
-void Server::enqueue(Job job) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back(std::move(job));
-  }
-  const std::size_t depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
-  OBS_GAUGE_SET("wire.eval_queue_depth", depth);
-  queue_cv_.notify_one();
-}
-
-void Server::worker_loop() {
-  while (true) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return !queue_.empty() || stop_workers_; });
-      if (queue_.empty()) return;  // stop_workers_ and nothing left to flush
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    job.conn->pipeline.evaluate(std::move(job.admission));
-    const std::size_t depth = queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
-    OBS_GAUGE_SET("wire.eval_queue_depth", depth);
-    job.conn->wake();
-  }
-}
-
 void Server::reap_finished_locked() {
   for (auto it = conns_.begin(); it != conns_.end();) {
     Connection& conn = **it;
@@ -414,14 +431,8 @@ void Server::drain() {
     if (conn->reader.joinable()) conn->reader.join();
   }
 
-  // 3. Let the workers flush the queue, then retire them.
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stop_workers_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : pool_) worker.join();
-  pool_.clear();
+  // 3. Let the pool run every queued evaluation, then retire its workers.
+  pool_->finish();
 
   // 4. Writers flush the last responses and exit on pipeline idle.
   for (const auto& conn : conns) {
@@ -458,14 +469,14 @@ std::string Server::admin_response(std::string_view verb) {
       }
       response.set("uptime_ns", Json::number(static_cast<std::int64_t>(
                                     obs::now_ns() - start_ns_)));
-      response.set("workers", Json::number(static_cast<std::int64_t>(workers_)));
+      response.set("workers", Json::number(static_cast<std::int64_t>(options_.workers)));
       response.set("draining", Json::boolean(draining_.load()));
       response.set("conns_active",
                    Json::number(static_cast<std::int64_t>(active)));
       response.set("conns_accepted", Json::number(static_cast<std::int64_t>(
                                          conns_accepted_.load())));
       response.set("queue_depth", Json::number(static_cast<std::int64_t>(
-                                      queue_depth_.load())));
+                                      pool_->depth())));
       response.set("queue_high_watermark",
                    Json::number(static_cast<std::int64_t>(
                        options_.queue_high_watermark)));
@@ -478,9 +489,9 @@ std::string Server::admin_response(std::string_view verb) {
                            .counter("wire.overload_sheds")
                            .total())));
       response.set("cache_size", Json::number(static_cast<std::int64_t>(
-                                     service_.cache().size())));
+                                     cache_.size())));
       response.set("cache_capacity", Json::number(static_cast<std::int64_t>(
-                                         service_.cache().capacity())));
+                                         cache_.capacity())));
     } else {  // tracez (is_admin_verb gated the dispatch)
       const obs::rt::FlightRecorder& recorder =
           obs::rt::FlightRecorder::instance();

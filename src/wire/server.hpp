@@ -1,31 +1,36 @@
-// closfair::wire — the two front ends of the request Pipeline over
-// svc::Service: answer_batch (in process, batch mode) and the persistent TCP
-// server.
+// closfair::wire — the two front ends of the request Pipeline over a shared
+// svc::ResultCache: answer_batch (in process, batch mode) and the persistent
+// TCP server.
 //
-// One acceptor thread hands long-lived connections to a reader/writer
-// thread pair each; evaluations from every connection funnel into one
-// shared worker pool. Each connection's Pipeline (connection.hpp) keeps the
+// Both hand their admitted evaluations to one evaluation pool (EvalPool,
+// server.cpp): a FIFO of (Pipeline, Admission) jobs whose threads start as
+// evaluations arrive, up to the worker count, and which runs every queued
+// job before it joins. A front end supplies only the step after
+// Pipeline::evaluate — batch mode signals its draining loop, the server
+// wakes the connection's writer.
+//
+// The server: one acceptor thread hands long-lived connections to a
+// reader/writer thread pair each; evaluations from every connection funnel
+// into the one pool. Each connection's Pipeline (connection.hpp) keeps the
 // deterministic admission order and reorders out-of-order completions back
 // into sequence-order responses, so a socket client gets the bytes
 // answer_batch writes for the same lines.
 //
 // Admission control is two-level: a per-connection in-flight budget
-// (PipelineLimits) and a global evaluation-queue high watermark. Either
-// trips an explicit {"overload":true,...} response instead of unbounded
-// buffering — memory is bounded by (connections x budget) regardless of
-// offered load.
+// (PipelineLimits) and a global high watermark on the pool's depth (pending
+// plus executing evaluations). Either trips an explicit {"overload":true,...}
+// response instead of unbounded buffering — memory is bounded by
+// (connections x budget) regardless of offered load.
 //
 // Graceful drain (SIGTERM via run_until_signal(), or drain() directly):
 // stop accepting, half-close every connection's read side so no new
-// requests are admitted, let the workers finish everything already
-// admitted, flush every response, then join. Drain wall time lands in the
+// requests are admitted, let the pool finish everything already admitted,
+// flush every response, then join. Drain wall time lands in the
 // wire.drain_ns gauge.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -33,32 +38,34 @@
 #include <thread>
 #include <vector>
 
-#include "svc/service.hpp"
+#include "svc/cache.hpp"
 #include "wire/connection.hpp"
 #include "wire/framing.hpp"
 
 namespace closfair::wire {
 
+class EvalPool;
+
 /// Batch mode: answer `lines` (one request line each, blank lines already
-/// dropped) through one Pipeline over service.cache(), writing one response
-/// line per request to `out`, in order. Every line is admitted before the
-/// first response is taken, so every cache lookup and delta resolution
-/// precedes every commit; admitted evaluations run on
-/// service.options().workers threads, which start while admission is still
-/// going. The in-flight budget is the line count, so nothing is ever shed.
-/// While the cache does not evict, the bytes equal what a socket client
-/// sending the same lines on one connection receives.
-void answer_batch(svc::Service& service, const std::vector<std::string>& lines,
-                  std::ostream& out);
+/// dropped) through one Pipeline over `cache`, writing one response line per
+/// request to `out`, in order. Every line is admitted before the first
+/// response is taken, so every cache lookup and delta resolution precedes
+/// every commit; admitted evaluations run on up to `workers` pool threads,
+/// which start while admission is still going. The in-flight budget is the
+/// line count, so nothing is ever shed. While the cache does not evict, the
+/// bytes equal what a socket client sending the same lines on one
+/// connection receives.
+void answer_batch(svc::ResultCache& cache, unsigned workers,
+                  const std::vector<std::string>& lines, std::ostream& out);
 
 /// answer_batch collected in memory: the response lines, in request order.
-[[nodiscard]] std::vector<std::string> answer_batch(svc::Service& service,
+[[nodiscard]] std::vector<std::string> answer_batch(svc::ResultCache& cache, unsigned workers,
                                                     const std::vector<std::string>& lines);
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read the choice via port()
-  unsigned workers = 0;    ///< evaluation threads; 0 = service.options().workers
+  unsigned workers = 1;    ///< evaluation threads (>= 1)
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   std::size_t max_inflight_per_conn = 64;   ///< per-connection admission budget
   std::size_t queue_high_watermark = 256;   ///< global pending-eval shed threshold
@@ -66,16 +73,16 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// The service outlives the server; its cache is shared across every
-  /// connection (and with any batch-mode use of the same Service).
-  Server(svc::Service& service, ServerOptions options = {});
+  /// The cache outlives the server; it is shared across every connection
+  /// (and with any batch-mode use of the same cache).
+  Server(svc::ResultCache& cache, ServerOptions options = {});
   ~Server();  ///< drains if still running
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and spawn the acceptor + worker pool. Throws WireError
-  /// when the address cannot be bound.
+  /// Bind, listen, and spawn the acceptor; pool workers start as
+  /// evaluations arrive. Throws WireError when the address cannot be bound.
   void start();
 
   /// The bound port (valid after start(); resolves port 0 choices).
@@ -92,7 +99,7 @@ class Server {
 
   /// Pending + executing evaluations across all connections (the watermark
   /// input).
-  [[nodiscard]] std::size_t queue_depth() const { return queue_depth_.load(); }
+  [[nodiscard]] std::size_t queue_depth() const;
 
   [[nodiscard]] std::uint64_t connections_accepted() const {
     return conns_accepted_.load();
@@ -100,16 +107,10 @@ class Server {
 
  private:
   struct Connection;
-  struct Job {
-    std::shared_ptr<Connection> conn;
-    Pipeline::Admission admission;
-  };
 
   void accept_loop();
-  void worker_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void writer_loop(const std::shared_ptr<Connection>& conn);
-  void enqueue(Job job);
   void reap_finished_locked();
 
   /// Render the response payload for an admin verb (metricsz / statusz /
@@ -117,21 +118,14 @@ class Server {
   /// "observability disabled" error object instead.
   [[nodiscard]] std::string admin_response(std::string_view verb);
 
-  svc::Service& service_;
+  svc::ResultCache& cache_;
   ServerOptions options_;
-  unsigned workers_ = 1;
   std::uint16_t port_ = 0;
   std::uint64_t start_ns_ = 0;  ///< start() tick; statusz uptime base
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  ///< self-pipe: drain() wakes the acceptor
   std::thread acceptor_;
-  std::vector<std::thread> pool_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Job> queue_;
-  bool stop_workers_ = false;
-  std::atomic<std::size_t> queue_depth_{0};
+  std::unique_ptr<EvalPool> pool_;
 
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;

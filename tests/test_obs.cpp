@@ -566,14 +566,14 @@ TEST(ObsDisabled, ServiceBatchLeavesNoMetrics) {
   spec.workload.generator = "permutation";
   spec.workload.seed = 3;
   const std::string line = spec.to_json().dump();
-  svc::Service service(svc::ServiceOptions{2, 8});
+  svc::ResultCache cache(8);
   std::ostringstream first;
-  wire::answer_batch(service, {line, line}, first);  // second line: dedup path
+  wire::answer_batch(cache, 2, {line, line}, first);  // second line: dedup path
   const std::string responses = first.str();
   EXPECT_NE(responses.find("\"cached\":false"), std::string::npos) << responses;
   EXPECT_NE(responses.find("\"cached\":true"), std::string::npos) << responses;
   std::ostringstream again;
-  wire::answer_batch(service, {line}, again);  // cache-hit path
+  wire::answer_batch(cache, 2, {line}, again);  // cache-hit path
   EXPECT_NE(again.str().find("\"cached\":true"), std::string::npos) << again.str();
   EXPECT_TRUE(obs::Registry::instance().snapshot().empty());
 }
@@ -594,8 +594,10 @@ TEST(ObsDisabled, WireServerRoundTripLeavesNoMetrics) {
   spec.topology.params = ClosNetwork::Params{2, 4, 2, Rational{1}};
   spec.workload.generator = "permutation";
   spec.workload.seed = 3;
-  svc::Service service(svc::ServiceOptions{2, 8});
-  wire::Server server(service, wire::ServerOptions{});
+  svc::ResultCache cache(8);
+  wire::ServerOptions options;
+  options.workers = 2;
+  wire::Server server(cache, options);
   server.start();
   wire::Client client;
   client.connect("127.0.0.1", server.port());
@@ -656,8 +658,8 @@ TEST(ObsDisabled, AdminVerbsAnswerDisabledOverTheWire) {
   spec.topology.params = ClosNetwork::Params{2, 4, 2, Rational{1}};
   spec.workload.generator = "permutation";
   spec.workload.seed = 3;
-  svc::Service service(svc::ServiceOptions{1, 8});
-  wire::Server server(service, wire::ServerOptions{});
+  svc::ResultCache cache(8);
+  wire::Server server(cache, wire::ServerOptions{});
   server.start();
 
   wire::Client client;

@@ -324,6 +324,78 @@ TEST(SvcSpec, FatTreeKMustFitInInt) {
             "topology: fattree k must be even and >= 2");
 }
 
+// Every other int-typed field is read the same way: 2^32 + 1 is rejected
+// with a reason naming the key, where truncation would have aliased it to 1
+// (so `"failed_middles":[4294967297]` shared the content address of `[1]`,
+// and a spilled result reloaded with another surviving-middle count).
+TEST(SvcSpec, NarrowedIntFieldsAreRejectedNeverTruncated) {
+  enum class Grammar { kSpec, kPatch, kResult };
+  using enum Grammar;
+  struct Row {
+    Grammar grammar;
+    std::string text;     // `X` marks the field under test
+    std::string message;  // the SpecError for X = 4294967297
+  };
+  const std::string clos = R"({"topology":{"n":2},)";
+  const std::string permutation = clos + R"("workload":{"generator":"permutation"},)";
+  const std::string derated = permutation + R"("fault":{"derated_links":[{"stage":"uplink",)";
+  const std::vector<Row> rows = {
+      {kSpec,
+       clos + R"("workload":{"generator":"hotspot","count":4,"hot_tor":X,"hot_fraction":0.5}})",
+       "workload: hot_tor does not fit in int"},
+      {kSpec, clos + R"("workload":{"generator":"incast","count":2,"dst_tor":X,"dst_server":1}})",
+       "workload: dst_tor does not fit in int"},
+      {kSpec, clos + R"("workload":{"generator":"incast","count":2,"dst_tor":1,"dst_server":X}})",
+       "workload: dst_server does not fit in int"},
+      {kSpec, clos + R"("workload":{"generator":"stride","stride":X}})",
+       "workload: stride does not fit in int"},
+      {kSpec, permutation + R"("fault":{"failed_middles":[X]}})",
+       "fault: failed_middles does not fit in int"},
+      {kSpec, derated + R"("tor":X,"middle":1,"factor":"1/2"}]}})",
+       "fault: tor does not fit in int"},
+      {kSpec, derated + R"("tor":1,"middle":X,"factor":"1/2"}]}})",
+       "fault: middle does not fit in int"},
+      {kSpec, permutation + R"("fault":{"degraded_pods":[{"tor":X,"factor":"1/2"}]}})",
+       "fault: tor does not fit in int"},
+      {kSpec, permutation + R"("fault":{"sample_middles":X}})",
+       "fault: sample_middles does not fit in int"},
+      {kSpec, permutation + R"("fault":{"worst_case_outage":X}})",
+       "fault: worst_case_outage does not fit in int"},
+      {kSpec, permutation + R"("routing":{"policy":"static","start":[X,1,1,1]}})",
+       "routing: start does not fit in int"},
+      {kPatch, R"({"add_flows":[{"src_tor":X,"src_server":1,"dst_tor":1,"dst_server":1}]})",
+       "patch: src_tor does not fit in int"},
+      {kPatch, R"({"add_flows":[{"src_tor":1,"src_server":X,"dst_tor":1,"dst_server":1}]})",
+       "patch: src_server does not fit in int"},
+      {kPatch, R"({"add_flows":[{"src_tor":1,"src_server":1,"dst_tor":X,"dst_server":1}]})",
+       "patch: dst_tor does not fit in int"},
+      {kPatch, R"({"add_flows":[{"src_tor":1,"src_server":1,"dst_tor":1,"dst_server":X}]})",
+       "patch: dst_server does not fit in int"},
+      {kPatch, R"({"fail_middles":[X]})", "patch: fail_middles does not fit in int"},
+      {kResult,
+       R"({"flows":0,"macro_rates":[],"macro_throughput":"0","surviving_middles":X})",
+       "result: surviving_middles does not fit in int"},
+  };
+  const auto parse = [](Grammar grammar, const std::string& text) {
+    if (grammar == kSpec) (void)parse_spec(text);
+    if (grammar == kPatch) (void)svc::SpecPatch::from_json(Json::parse(text));
+    if (grammar == kResult) (void)svc::ScenarioResult::from_json(Json::parse(text));
+  };
+  for (const Row& row : rows) {
+    std::string valid = row.text;
+    valid.replace(valid.find('X'), 1, "1");
+    EXPECT_NO_THROW(parse(row.grammar, valid)) << valid;  // only the value under test fails
+    std::string huge = row.text;
+    huge.replace(huge.find('X'), 1, "4294967297");
+    try {
+      parse(row.grammar, huge);
+      ADD_FAILURE() << "accepted " << huge;
+    } catch (const svc::SpecError& e) {
+      EXPECT_EQ(std::string{e.what()}, row.message) << huge;
+    }
+  }
+}
+
 // An inline instance is validated when it parses: its errors carry the
 // instance line, never a contract violation naming a source file.
 TEST(SvcSpec, InlineInstanceValidationErrorsAreLineNumbered) {
@@ -574,24 +646,24 @@ std::string result_of(const std::string& response) {
 
 TEST(SvcService, BatchIsDeterministicAcrossWorkerCounts) {
   const std::vector<std::string> lines = as_lines(small_batch());
-  svc::Service one(svc::ServiceOptions{1, 64});
-  const std::vector<std::string> ref = wire::answer_batch(one, lines);
+  svc::ResultCache one(64);
+  const std::vector<std::string> ref = wire::answer_batch(one, 1, lines);
   ASSERT_EQ(ref.size(), lines.size());
   for (const unsigned workers : {2u, 8u}) {
-    svc::Service service(svc::ServiceOptions{workers, 64});
-    EXPECT_EQ(wire::answer_batch(service, lines), ref) << "workers=" << workers;
+    svc::ResultCache cache(64);
+    EXPECT_EQ(wire::answer_batch(cache, workers, lines), ref) << "workers=" << workers;
   }
 }
 
 TEST(SvcService, DuplicatesAndResubmissionsHitTheCache) {
   const std::vector<std::string> lines = as_lines(small_batch());
-  svc::Service service(svc::ServiceOptions{2, 64});
-  const std::vector<std::string> cold = wire::answer_batch(service, lines);
+  svc::ResultCache cache(64);
+  const std::vector<std::string> cold = wire::answer_batch(cache, 2, lines);
   EXPECT_FALSE(is_cached(cold.front()));
   EXPECT_TRUE(is_cached(cold.back()));  // in-batch duplicate of line 0
   EXPECT_EQ(result_of(cold.back()), result_of(cold.front()));
   EXPECT_FALSE(result_of(cold.front()).empty());
-  const std::vector<std::string> warm = wire::answer_batch(service, lines);
+  const std::vector<std::string> warm = wire::answer_batch(cache, 2, lines);
   for (const std::string& response : warm) EXPECT_TRUE(is_cached(response)) << response;
 }
 
@@ -604,8 +676,8 @@ TEST(SvcService, RuntimeErrorsBecomePerEntryErrors) {
   bad.routing.start = {1};  // wrong length for the permutation's flow count
   specs.insert(specs.begin() + 1, bad);
 
-  svc::Service service(svc::ServiceOptions{2, 64});
-  const std::vector<std::string> responses = wire::answer_batch(service, as_lines(specs));
+  svc::ResultCache cache(64);
+  const std::vector<std::string> responses = wire::answer_batch(cache, 2, as_lines(specs));
   // A failed evaluation still reports its content address.
   EXPECT_EQ(responses[1].find("{\"hash\":\"" + svc::hash_hex(bad.content_hash()) +
                               "\",\"error\":"),
@@ -617,8 +689,8 @@ TEST(SvcService, RuntimeErrorsBecomePerEntryErrors) {
     }
   }
   // A failed evaluation must not be cached.
-  EXPECT_FALSE(service.cache().lookup(bad.canonical()).has_value());
-  const std::vector<std::string> retry = wire::answer_batch(service, as_lines({bad}));
+  EXPECT_FALSE(cache.lookup(bad.canonical()).has_value());
+  const std::vector<std::string> retry = wire::answer_batch(cache, 2, as_lines({bad}));
   EXPECT_EQ(retry, (std::vector<std::string>{responses[1]}));
 }
 
@@ -824,29 +896,29 @@ TEST(SvcDelta, ServiceEvaluateDeltaMatchesColdService) {
   const std::string delta =
       R"({"base":")" + base_hash + R"(","patch":{"objective":"maxmin_lp"}})";
 
-  svc::Service warm_service(svc::ServiceOptions{1, 16});
-  ASSERT_FALSE(result_of(wire::answer_batch(warm_service, as_lines({base})).at(0)).empty());
-  const std::vector<std::string> warm = wire::answer_batch(warm_service, {delta});
+  svc::ResultCache warm_cache(16);
+  ASSERT_FALSE(result_of(wire::answer_batch(warm_cache, 1, as_lines({base})).at(0)).empty());
+  const std::vector<std::string> warm = wire::answer_batch(warm_cache, 1, {delta});
 
-  svc::Service cold_service(svc::ServiceOptions{1, 16});
+  svc::ResultCache cold_cache(16);
   const svc::ScenarioSpec patched =
       svc::SpecPatch::from_json(Json::parse(R"({"objective":"maxmin_lp"})")).apply(base);
-  const std::vector<std::string> cold = wire::answer_batch(cold_service, as_lines({patched}));
+  const std::vector<std::string> cold = wire::answer_batch(cold_cache, 1, as_lines({patched}));
   ASSERT_FALSE(result_of(cold.at(0)).empty()) << cold.at(0);
   EXPECT_EQ(warm, cold);  // same hash, same result bytes, cached:false
 
   // Re-submitting the same delta is a cache hit on the patched spec.
-  EXPECT_TRUE(is_cached(wire::answer_batch(warm_service, {delta}).at(0)));
+  EXPECT_TRUE(is_cached(wire::answer_batch(warm_cache, 1, {delta}).at(0)));
 
   // A base the cache has never seen resolves to an error with no hash.
   const std::string unknown = svc::hash_hex(base.content_hash() ^ 1);
-  EXPECT_EQ(wire::answer_batch(warm_service, {R"({"base":")" + unknown + R"("})"}).at(0),
+  EXPECT_EQ(wire::answer_batch(warm_cache, 1, {R"({"base":")" + unknown + R"("})"}).at(0),
             R"({"error":"unknown base )" + unknown + R"(: not in the result cache"})");
 
   // A patch that does not apply reports the patch error, with no hash.
   const std::string bad_patch =
       R"({"base":")" + base_hash + R"(","patch":{"remove_flows":[9]}})";
-  const std::string broken = wire::answer_batch(warm_service, {bad_patch}).at(0);
+  const std::string broken = wire::answer_batch(warm_cache, 1, {bad_patch}).at(0);
   EXPECT_EQ(broken.find(R"({"error":)"), 0u) << broken;
   EXPECT_EQ(broken.find("\"hash\""), std::string::npos) << broken;
 }
@@ -861,10 +933,10 @@ TEST(SvcCache, ReloadedSpillHitsServeTheColdBytes) {
   specs.push_back(instance_base());
   const std::vector<std::string> lines = as_lines(specs);
 
-  svc::Service first(svc::ServiceOptions{1, 16});
-  const std::vector<std::string> cold = wire::answer_batch(first, lines);
+  svc::ResultCache first(16);
+  const std::vector<std::string> cold = wire::answer_batch(first, 1, lines);
   std::stringstream saved;
-  first.cache().save(saved);
+  first.save(saved);
   const std::string spill = saved.str();
 
   // Loosen every result (never a spec) with spaces around its punctuation.
@@ -887,14 +959,14 @@ TEST(SvcCache, ReloadedSpillHitsServeTheColdBytes) {
   }
   ASSERT_NE(edited, spill);
 
-  svc::Service second(svc::ServiceOptions{1, 16});
+  svc::ResultCache second(16);
   std::stringstream edited_in(edited);
-  EXPECT_EQ(second.cache().load(edited_in), specs.size());
+  EXPECT_EQ(second.load(edited_in), specs.size());
   for (const svc::ScenarioSpec& spec : specs) {
-    EXPECT_EQ(second.cache().find(spec.canonical()),
+    EXPECT_EQ(second.find(spec.canonical()),
               svc::evaluate_scenario(spec).to_json().dump());
   }
-  const std::vector<std::string> warm = wire::answer_batch(second, lines);
+  const std::vector<std::string> warm = wire::answer_batch(second, 1, lines);
   ASSERT_EQ(warm.size(), cold.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_TRUE(is_cached(warm[i])) << warm[i];
@@ -904,7 +976,7 @@ TEST(SvcCache, ReloadedSpillHitsServeTheColdBytes) {
   }
   // The spill written back is the canonical one again.
   std::stringstream resaved;
-  second.cache().save(resaved);
+  second.save(resaved);
   EXPECT_EQ(resaved.str(), spill);
 }
 
@@ -912,14 +984,14 @@ TEST(SvcDelta, DeltaCountersTrackOutcomesWhenEnabled) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Registry::instance().reset();
   const svc::ScenarioSpec base = instance_base();
-  svc::Service service(svc::ServiceOptions{1, 16});
-  (void)wire::answer_batch(service, as_lines({base}));
+  svc::ResultCache cache(16);
+  (void)wire::answer_batch(cache, 1, as_lines({base}));
 
   const std::string objective_delta = R"({"base":")" + svc::hash_hex(base.content_hash()) +
                                       R"(","patch":{"objective":"maxmin_lp"}})";
-  (void)wire::answer_batch(service, {objective_delta});  // warm: wholesale result reuse
-  (void)wire::answer_batch(service, {objective_delta});  // cache hit on patched spec
-  (void)wire::answer_batch(service, {R"({"base":"00000000000000aa"})"});  // base miss
+  (void)wire::answer_batch(cache, 1, {objective_delta});  // warm: wholesale result reuse
+  (void)wire::answer_batch(cache, 1, {objective_delta});  // cache hit on patched spec
+  (void)wire::answer_batch(cache, 1, {R"({"base":"00000000000000aa"})"});  // base miss
 
   const obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
   std::uint64_t requests = 0, hits = 0, misses = 0, reuses = 0;
@@ -938,9 +1010,9 @@ TEST(SvcDelta, DeltaCountersTrackOutcomesWhenEnabled) {
 TEST(SvcService, ObsCountersTrackRequestsWhenEnabled) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Registry::instance().reset();
-  svc::Service service(svc::ServiceOptions{2, 64});
+  svc::ResultCache cache(64);
   const std::vector<svc::ScenarioSpec> specs = small_batch();
-  (void)wire::answer_batch(service, as_lines(specs));
+  (void)wire::answer_batch(cache, 2, as_lines(specs));
   const obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
   std::uint64_t requests = 0;
   std::uint64_t dedup = 0;

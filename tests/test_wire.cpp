@@ -453,6 +453,39 @@ TEST(WirePipeline, ParseErrorsAnswerImmediately) {
   EXPECT_TRUE(pipeline.idle());
 }
 
+TEST(WirePipeline, EvaluateReleasesTheDeltaBasePin) {
+  // A pinned base is exempt from eviction, so on a one-entry cache the base
+  // survives the next commit only while some admission still pins it. After
+  // a delta's evaluate — whether it splices the base bytes, evaluates cold,
+  // or throws — and take_ready, the next commit must evict the base.
+  const svc::ScenarioSpec base =
+      svc::ScenarioSpec::from_json(Json::parse(tiny_spec_json(1)));
+  const std::string prefix = R"({"base":")" + svc::hash_hex(base.content_hash()) +
+                             R"(","patch":)";
+  // tiny_spec_json has 2 middles, so failing middle 3 throws at evaluation.
+  for (const std::string patch :
+       {R"({"objective":"maxmin_lp"})", R"({"fail_middles":[1]})", R"({"fail_middles":[3]})"}) {
+    svc::ResultCache cache(1);
+    cache.insert(base.canonical(), fake_result_bytes(6));
+    wire::Pipeline pipeline(cache);
+    wire::Pipeline::Admission delta = pipeline.admit(prefix + patch + "}");
+    ASSERT_TRUE(delta.evaluate) << patch;
+    ASSERT_TRUE(delta.base.has_value()) << patch;
+    pipeline.evaluate(std::move(delta));
+    const std::vector<std::string> answered = pipeline.take_ready();
+    ASSERT_EQ(answered.size(), 1u) << patch;
+    const bool threw = answered[0].find("\"result\":") == std::string::npos;
+    EXPECT_EQ(threw, patch == R"({"fail_middles":[3]})") << answered[0];
+
+    wire::Pipeline::Admission other = admit_line(pipeline, 2);
+    ASSERT_TRUE(other.evaluate) << patch;
+    pipeline.evaluate(std::move(other));
+    ASSERT_EQ(pipeline.take_ready().size(), 1u) << patch;
+    EXPECT_FALSE(cache.pin_base(base.content_hash()).has_value()) << patch;
+    EXPECT_EQ(cache.size(), 1u) << patch;
+  }
+}
+
 // ------------------------------------------------------- server over loopback
 
 /// The byte-identity fixture: mixed request lines (bare specs, envelopes,
@@ -530,8 +563,8 @@ TEST(WireBatch, MatchesTheIndependentReferenceForEveryWorkerCount) {
   const std::vector<std::string> lines = mixed_request_lines();
   const std::vector<std::string> expected = reference_responses(lines);
   for (const unsigned workers : {1u, 2u, 8u}) {
-    svc::Service service(svc::ServiceOptions{workers, 64});
-    EXPECT_EQ(wire::answer_batch(service, lines), expected) << "workers=" << workers;
+    svc::ResultCache cache(64);
+    EXPECT_EQ(wire::answer_batch(cache, workers, lines), expected) << "workers=" << workers;
   }
 }
 
@@ -546,8 +579,8 @@ TEST(WireBatch, DeltaOnAnEarlierLineResolvesEvenAtCacheOne) {
       base, tiny_spec_json(2),
       R"({"base":")" + base_hash + R"(","patch":{"objective":"maxmin_lp"}})"};
   for (const unsigned workers : {1u, 2u}) {
-    svc::Service service(svc::ServiceOptions{workers, 1});
-    const std::vector<std::string> responses = wire::answer_batch(service, lines);
+    svc::ResultCache cache(1);
+    const std::vector<std::string> responses = wire::answer_batch(cache, workers, lines);
     EXPECT_EQ(responses, reference_responses(lines)) << "workers=" << workers;
     ASSERT_EQ(responses.size(), 3u);
     EXPECT_NE(responses[2].find("\"result\":"), std::string::npos) << responses[2];
@@ -558,10 +591,10 @@ TEST(WireServer, SocketResponsesAreByteIdenticalToBatchForEveryWorkerCount) {
   const std::vector<std::string> lines = mixed_request_lines();
   const std::vector<std::string> expected = reference_responses(lines);
   for (const unsigned workers : {1u, 2u, 8u}) {
-    svc::Service service(svc::ServiceOptions{workers, 64});
+    svc::ResultCache cache(64);
     wire::ServerOptions options;
     options.workers = workers;
-    wire::Server server(service, options);
+    wire::Server server(cache, options);
     server.start();
 
     wire::Client client;
@@ -579,8 +612,10 @@ TEST(WireServer, SocketResponsesAreByteIdenticalToBatchForEveryWorkerCount) {
 }
 
 TEST(WireServer, SequentialCallsSeeTheSharedCache) {
-  svc::Service service(svc::ServiceOptions{2, 64});
-  wire::Server server(service, wire::ServerOptions{});
+  svc::ResultCache cache(64);
+  wire::ServerOptions options;
+  options.workers = 2;
+  wire::Server server(cache, options);
   server.start();
 
   wire::Client first;
@@ -595,6 +630,36 @@ TEST(WireServer, SequentialCallsSeeTheSharedCache) {
   EXPECT_NE(second.call(tiny_spec_json(1)).find("\"cached\":true"),
             std::string::npos);
   second.close();
+  server.drain();
+}
+
+TEST(WireServer, BatchAndSocketShareOneCache) {
+  // One cache behind batch mode and then a server: the socket answers every
+  // line the batch evaluated from the cache, with the batch's hash and
+  // result bytes.
+  const std::string base_hash = svc::hash_hex(
+      svc::ScenarioSpec::from_json(Json::parse(tiny_spec_json(1))).content_hash());
+  const std::vector<std::string> lines = {
+      tiny_spec_json(1), R"({"id":"b","spec":)" + tiny_spec_json(2) + "}",
+      R"({"base":")" + base_hash + R"(","patch":{"objective":"maxmin_lp"}})"};
+  svc::ResultCache cache(64);
+  const std::vector<std::string> batch = wire::answer_batch(cache, 2, lines);
+  ASSERT_EQ(batch.size(), lines.size());
+
+  wire::ServerOptions options;
+  options.workers = 2;
+  wire::Server server(cache, options);
+  server.start();
+  wire::Client client;
+  client.connect("127.0.0.1", server.port());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string expected = batch[i];
+    const std::size_t flag = expected.find(R"("cached":false)");
+    ASSERT_NE(flag, std::string::npos) << expected;
+    expected.replace(flag, 14, R"("cached":true)");
+    EXPECT_EQ(client.call(lines[i]), expected) << "line " << i;
+  }
+  client.close();
   server.drain();
 }
 
@@ -622,10 +687,10 @@ TEST(WireServer, DeltaRequestsMatchColdEvaluationOverLoopback) {
       R"(,"delta":{"base":")" + base_hash + R"(","patch":{"objective":"maxmin_lp"}}})";
 
   for (const unsigned workers : {1u, 2u, 8u}) {
-    svc::Service service(svc::ServiceOptions{workers, 64});
+    svc::ResultCache cache(64);
     wire::ServerOptions options;
     options.workers = workers;
-    wire::Server server(service, options);
+    wire::Server server(cache, options);
     server.start();
 
     wire::Client client;
@@ -666,9 +731,9 @@ TEST(WireServer, ObjectiveSwitchDeltaSplicesThePinnedBaseBytes) {
   svc::ScenarioSpec patched = base;
   patched.objective = "maxmin_lp";
   const std::uint64_t patched_hash = svc::fnv1a64(patched.canonical());
-  svc::Service direct(svc::ServiceOptions{1, 16});
+  svc::ResultCache direct(16);
   const std::string cold = wire::answer_batch(
-      direct, {R"({"id":"d","spec":)" + patched.to_json().dump() + "}"}).at(0);
+      direct, 1, {R"({"id":"d","spec":)" + patched.to_json().dump() + "}"}).at(0);
   ASSERT_EQ(cold, wire::render_result(Json::string("d"), patched_hash, /*cached=*/false,
                                       svc::evaluate_scenario(patched)));
 
@@ -681,18 +746,18 @@ TEST(WireServer, ObjectiveSwitchDeltaSplicesThePinnedBaseBytes) {
   };
 
   {
-    svc::Service service(svc::ServiceOptions{2, 16});
-    (void)wire::answer_batch(service, {tiny_spec_json(1)});
+    svc::ResultCache cache(16);
+    (void)wire::answer_batch(cache, 2, {tiny_spec_json(1)});
     const std::uint64_t r0 = reuses.total();
     const std::uint64_t e0 = evaluations.total();
-    EXPECT_EQ(wire::answer_batch(service, {delta}).at(0), cold);
+    EXPECT_EQ(wire::answer_batch(cache, 2, {delta}).at(0), cold);
     expect_reused(r0, e0);
   }
   {
-    svc::Service service(svc::ServiceOptions{2, 16});
+    svc::ResultCache cache(16);
     wire::ServerOptions options;
     options.workers = 2;
-    wire::Server server(service, options);
+    wire::Server server(cache, options);
     server.start();
     wire::Client client;
     client.connect("127.0.0.1", server.port());
@@ -707,17 +772,17 @@ TEST(WireServer, ObjectiveSwitchDeltaSplicesThePinnedBaseBytes) {
   {
     // The answer is the pinned entry's bytes, verbatim: a base entry holding
     // marker bytes answers its objective switch with those bytes.
-    svc::Service service(svc::ServiceOptions{1, 16});
-    service.cache().insert(base.canonical(), fake_result_bytes(5));
-    EXPECT_EQ(wire::answer_batch(service, {delta}).at(0),
+    svc::ResultCache cache(16);
+    cache.insert(base.canonical(), fake_result_bytes(5));
+    EXPECT_EQ(wire::answer_batch(cache, 1, {delta}).at(0),
               wire::render_result(Json::string("d"), patched_hash, /*cached=*/false,
                                   fake_result_bytes(5)));
   }
 }
 
 TEST(WireClient, SendRefusesPayloadOverItsFrameLimitWithoutTearing) {
-  svc::Service service(svc::ServiceOptions{1, 64});
-  wire::Server server(service, wire::ServerOptions{});
+  svc::ResultCache cache(64);
+  wire::Server server(cache, wire::ServerOptions{});
   server.start();
 
   wire::Client client(/*max_frame_bytes=*/4096);
@@ -735,16 +800,16 @@ TEST(WireServer, OversizedResponseFlushesEarlierFramesThenCloses) {
   // A response the peer could never decode must not be truncated onto the
   // wire: the writer flushes the complete frames built so far, then gives
   // up on the connection.
-  svc::Service service(svc::ServiceOptions{1, 64});
+  svc::ResultCache cache(64);
   const svc::ScenarioSpec base =
       svc::ScenarioSpec::from_json(Json::parse(tiny_spec_json(1)));
   // Warm the cache so a short delta line hits.
-  (void)wire::answer_batch(service, {tiny_spec_json(1)});
+  (void)wire::answer_batch(cache, 1, {tiny_spec_json(1)});
   const std::string base_hash = wire::hash_hex(svc::fnv1a64(base.canonical()));
 
   wire::ServerOptions options;
   options.max_frame_bytes = 96;  // requests below fit; a result response does not
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
 
   wire::Client client;
@@ -763,11 +828,11 @@ TEST(WireServer, OversizedResponseFlushesEarlierFramesThenCloses) {
 }
 
 TEST(WireServer, OverloadWatermarkShedsInsteadOfBuffering) {
-  svc::Service service(svc::ServiceOptions{1, 256});
+  svc::ResultCache cache(256);
   wire::ServerOptions options;
   options.workers = 1;
   options.queue_high_watermark = 1;  // shed as soon as one evaluation waits
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
 
   const std::size_t kBlast = 40;
@@ -800,10 +865,10 @@ TEST(WireServer, OverloadWatermarkShedsInsteadOfBuffering) {
 }
 
 TEST(WireServer, OversizedFrameGetsOneErrorThenClose) {
-  svc::Service service(svc::ServiceOptions{1, 64});
+  svc::ResultCache cache(64);
   wire::ServerOptions options;
   options.max_frame_bytes = 64;
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
 
   wire::Client client;
@@ -818,10 +883,10 @@ TEST(WireServer, OversizedFrameGetsOneErrorThenClose) {
 }
 
 TEST(WireServer, DrainFlushesEverythingAlreadyAdmitted) {
-  svc::Service service(svc::ServiceOptions{2, 64});
+  svc::ResultCache cache(64);
   wire::ServerOptions options;
   options.workers = 2;
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
 
   wire::Client client;
@@ -903,10 +968,10 @@ TEST(WireCounters, OversizedFramePoisoningBumpsCounter) {
   EXPECT_EQ(counter_total("wire.oversized_frames"), before + 1);
 
   // Server-level: the same counter fires on a live oversized frame.
-  svc::Service service(svc::ServiceOptions{1, 64});
+  svc::ResultCache cache(64);
   wire::ServerOptions options;
   options.max_frame_bytes = 64;
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
   wire::Client client;
   client.connect("127.0.0.1", server.port());
@@ -941,8 +1006,8 @@ TEST(WireCounters, OversizedSendBumpsCounter) {
   EXPECT_EQ(counter_total("wire.oversized_sends"), before + 1);
   // The Client send path routes through the same guard.
   wire::Client client(/*max_frame_bytes=*/64);
-  svc::Service service(svc::ServiceOptions{1, 64});
-  wire::Server server(service, wire::ServerOptions{});
+  svc::ResultCache cache(64);
+  wire::Server server(cache, wire::ServerOptions{});
   server.start();
   client.connect("127.0.0.1", server.port());
   EXPECT_THROW(client.send(std::string(65, 'x')), wire::WireError);
@@ -979,10 +1044,10 @@ TEST(WireAdmin, VerbsInterleaveWithDataAndOnlyCountAsAdmin) {
   const std::uint64_t requests_before = counter_total("wire.requests");
   const std::uint64_t responses_before = counter_total("wire.responses");
 
-  svc::Service service(svc::ServiceOptions{2, 64});
+  svc::ResultCache cache(64);
   wire::ServerOptions options;
   options.workers = 2;
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
   wire::Client client;
   client.connect("127.0.0.1", server.port());
@@ -1017,8 +1082,10 @@ TEST(WireAdmin, VerbsInterleaveWithDataAndOnlyCountAsAdmin) {
 
 TEST(WireAdmin, MetricszAndTracezAreWellFormed) {
   obs::rt::FlightRecorder::instance().reset();
-  svc::Service service(svc::ServiceOptions{2, 64});
-  wire::Server server(service, wire::ServerOptions{});
+  svc::ResultCache cache(64);
+  wire::ServerOptions options;
+  options.workers = 2;
+  wire::Server server(cache, options);
   server.start();
   wire::Client client;
   client.connect("127.0.0.1", server.port());
@@ -1048,10 +1115,10 @@ TEST(WireAdmin, MetricszAndTracezAreWellFormed) {
 TEST(WireTrace, FlightRecorderStageSumsEqualWallTime) {
   obs::rt::FlightRecorder::instance().reset();
   const std::vector<std::string> lines = mixed_request_lines();
-  svc::Service service(svc::ServiceOptions{2, 64});
+  svc::ResultCache cache(64);
   wire::ServerOptions options;
   options.workers = 2;
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
 
   wire::Client client;
@@ -1090,10 +1157,10 @@ TEST(WireTrace, FlightRecorderStageSumsEqualWallTime) {
 #endif  // CLOSFAIR_OBS_ENABLED
 
 TEST(WireServer, ManyConnectionsShareOneServer) {
-  svc::Service service(svc::ServiceOptions{4, 256});
+  svc::ResultCache cache(256);
   wire::ServerOptions options;
   options.workers = 4;
-  wire::Server server(service, options);
+  wire::Server server(cache, options);
   server.start();
 
   constexpr int kClients = 6;
