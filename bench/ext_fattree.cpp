@@ -58,9 +58,7 @@ int main() {
         const FlowSet flows = instantiate(ft, specs);
         const auto macro = max_min_fair<Rational>(ms, instantiate(ms, specs));
 
-        PathCandidates candidates;
-        candidates.reserve(flows.size());
-        for (const Flow& f : flows) candidates.push_back(ft.paths(f.src, f.dst));
+        const PathCandidates candidates = candidate_paths(ft, flows);
         std::vector<double> demands;
         for (FlowIndex f = 0; f < flows.size(); ++f) {
           demands.push_back(macro.rate(f).to_double());
@@ -108,10 +106,8 @@ int main() {
       FlowCollection specs = {FlowSpec{1, 1, 1, 1}, FlowSpec{3, 1, 3, 1}};
       for (int c = 0; c < kk; ++c) specs.push_back(FlowSpec{3, 1, 1, 1});
       const FlowSet flows = instantiate(ft, specs);
-      PathCandidates candidates;
-      for (const Flow& f : flows) candidates.push_back(ft.paths(f.src, f.dst));
       const std::vector<double> unit(flows.size(), 1.0);
-      const Routing routing = greedy_paths(ft.topology(), candidates, unit);
+      const Routing routing = greedy_paths(ft.topology(), candidate_paths(ft, flows), unit);
       const auto alloc = max_min_fair<Rational>(ft.topology(), flows, routing);
       const Rational expected = Rational{1} + Rational{1, kk + 1};
       gadget.add_row({std::to_string(kk), alloc.throughput().to_string(),

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
   std::cout << "macro-switch T^MmF = " << macro.throughput() << " over " << flows.size()
             << " flows\n\n";
 
-  PathCandidates candidates;
-  for (const Flow& f : flows) candidates.push_back(ft.paths(f.src, f.dst));
+  const PathCandidates candidates = candidate_paths(ft, flows);
   std::vector<double> demands;
   for (FlowIndex f = 0; f < flows.size(); ++f) demands.push_back(macro.rate(f).to_double());
 

@@ -17,8 +17,8 @@
 # equivalence tests, the water-fill fast-path differential suite and the
 # wire / service tests (result bytes cross the reader, worker and writer
 # threads) under ThreadSanitizer, the fault / workload / rate-control / search /
-# wire-socket tests and the instance-text and spec parser tests under
-# ASan+UBSan, and the CLOSFAIR_OBS=OFF
+# routing-heuristic / wire-socket tests and the instance-text and spec parser
+# tests under ASan+UBSan, and the CLOSFAIR_OBS=OFF
 # configuration (instrumentation compiled out) with its unit tests, a
 # link-level check that the obs TUs are empty and a batch-mode closfair_serve
 # run diffed against the smoke and delta goldens, and a build of the end-to-end
@@ -31,6 +31,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
+# Every temp file goes on one list that one EXIT trap removes.
+TMP_FILES=()
+trap 'rm -f "${TMP_FILES[@]}"' EXIT
+new_tmp() {
+  local file
+  file="$(mktemp)"
+  TMP_FILES+=("$file")
+  printf -v "$1" '%s' "$file"
+}
+
 echo "== tier 1: metric names vs docs/OBSERVABILITY.md =="
 scripts/check_metrics_docs.sh
 
@@ -42,8 +52,7 @@ cmake --build build -j "$JOBS"
 
 echo
 echo "== tier 1: closfair_serve smoke vs golden transcript =="
-SMOKE_OUT="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT"' EXIT
+new_tmp SMOKE_OUT
 build/examples/closfair_serve --workers 2 \
     --in tests/golden/serve_smoke_requests.jsonl --out "$SMOKE_OUT"
 if ! diff -u tests/golden/serve_smoke_responses.jsonl "$SMOKE_OUT"; then
@@ -58,9 +67,8 @@ echo "3 requests answered, duplicate served from cache, golden matched"
 
 echo
 echo "== tier 1: cache spill smoke (--cache-file written, reloaded, served) =="
-SPILL="$(mktemp)"
-SPILL_OUT="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT"' EXIT
+new_tmp SPILL
+new_tmp SPILL_OUT
 rm -f "$SPILL"
 for run in 1 2; do
   build/examples/closfair_serve --workers 2 --cache-file "$SPILL" \
@@ -105,9 +113,8 @@ echo "spill matched its golden; a second run served every line from it byte-iden
 
 echo
 echo "== tier 1: wire server smoke (closfair_serve --listen + closfair_loadgen) =="
-PORT_FILE="$(mktemp)"
-WIRE_OUT="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT" "$PORT_FILE" "$WIRE_OUT"' EXIT
+new_tmp PORT_FILE
+new_tmp WIRE_OUT
 : > "$PORT_FILE"
 build/examples/closfair_serve --listen 127.0.0.1:0 --workers 2 \
     --port-file "$PORT_FILE" &
@@ -178,8 +185,7 @@ echo "20 pipelined requests answered byte-identically over the socket, SIGTERM d
 
 echo
 echo "== tier 1: delta smoke (base+delta replay, batch and wire vs one golden) =="
-DELTA_OUT="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT" "$PORT_FILE" "$WIRE_OUT" "$DELTA_OUT"' EXIT
+new_tmp DELTA_OUT
 build/examples/closfair_serve --workers 2 \
     --in tests/golden/serve_delta_requests.jsonl --out "$DELTA_OUT"
 if ! diff -u tests/golden/serve_delta_responses.jsonl "$DELTA_OUT"; then
@@ -216,8 +222,7 @@ echo
 echo "== tier 1: Release water-fill perf smoke vs committed floor =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" --target perf_micro >/dev/null
-PERF_JSON="$(mktemp)"
-trap 'rm -f "$SMOKE_OUT" "$SPILL" "$SPILL_OUT" "$PORT_FILE" "$WIRE_OUT" "$PERF_JSON"' EXIT
+new_tmp PERF_JSON
 build-release/bench/perf_micro --benchmark_filter='^BM_WaterfillWorkspaceFast$' \
     --benchmark_min_time=0.5 --benchmark_out="$PERF_JSON" \
     --benchmark_out_format=json >/dev/null
@@ -255,13 +260,14 @@ cmake --build build-tsan -j "$JOBS" --target test_search_engine test_waterfill_f
     -R 'SearchEngine|WaterfillFastpath|^Wire|^Svc')
 
 echo
-echo "== tier 1: fault/workload/rate-control/wire/parser tests under ASan+UBSan =="
+echo "== tier 1: fault/workload/rate-control/routing/wire/parser tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCLOSFAIR_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" --target \
     test_fault test_workload test_rate_control test_search_engine test_wire \
-    test_waterfill_fastpath test_text_format test_svc
-(cd build-asan && ctest --output-on-failure -j "$JOBS" \
-    -R 'Fault|Workload|Trace|Rcp|Aimd|SearchEngine|Wire|WaterfillFastpath|TextFormat|Svc')
+    test_waterfill_fastpath test_text_format test_svc test_routing_algos test_generic_routing
+ASAN_TESTS='Fault|Workload|Trace|Rcp|Aimd|SearchEngine|Wire|WaterfillFastpath|TextFormat|Svc'
+ASAN_TESTS+='|Greedy|LocalSearch|GenericRouting|RoutingEngine'
+(cd build-asan && ctest --output-on-failure -j "$JOBS" -R "$ASAN_TESTS")
 
 echo
 echo "== tier 1: CLOSFAIR_OBS=OFF build (instrumentation compiled out) =="

@@ -1,11 +1,11 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "obs/obs.hpp"
+#include "routing/generic.hpp"
 
 namespace closfair::fault {
 namespace {
@@ -219,58 +219,10 @@ FailureScenario worst_case_outage(const ClosNetwork& net, int k) {
 
 std::size_t reroute_dead_paths(const ClosNetwork& net, const FlowSet& flows,
                                MiddleAssignment& middles) {
-  CF_CHECK(middles.size() == flows.size());
-  const Topology& topo = net.topology();
-
-  auto path_dead = [&](const Path& path) {
-    for (LinkId l : path) {
-      const Link& link = topo.link(l);
-      if (!link.unbounded && link.capacity == kZero) return true;
-    }
-    return false;
-  };
-
-  std::vector<double> load(topo.num_links(), 0.0);
-  for (FlowIndex f = 0; f < flows.size(); ++f) {
-    for (LinkId l : net.path(flows[f].src, flows[f].dst, middles[f])) {
-      load[static_cast<std::size_t>(l)] += 1.0;
-    }
-  }
-
-  std::size_t rerouted = 0;
-  for (FlowIndex f = 0; f < flows.size(); ++f) {
-    const Path current = net.path(flows[f].src, flows[f].dst, middles[f]);
-    if (!path_dead(current)) continue;
-    for (LinkId l : current) load[static_cast<std::size_t>(l)] -= 1.0;
-
-    int best = 0;
-    double best_congestion = std::numeric_limits<double>::infinity();
-    for (int m = 1; m <= net.num_middles(); ++m) {
-      const Path path = net.path(flows[f].src, flows[f].dst, m);
-      if (path_dead(path)) continue;
-      double congestion = 0.0;
-      for (LinkId l : path) {
-        const Link& link = topo.link(l);
-        if (link.unbounded) continue;
-        congestion = std::max(congestion, (load[static_cast<std::size_t>(l)] + 1.0) /
-                                              link.capacity.to_double());
-      }
-      if (congestion < best_congestion) {
-        best_congestion = congestion;
-        best = m;
-      }
-    }
-
-    if (best == 0) {  // stranded: dead server link, or every middle unusable
-      for (LinkId l : current) load[static_cast<std::size_t>(l)] += 1.0;
-      continue;
-    }
-    middles[f] = best;
-    ++rerouted;
-    for (LinkId l : net.path(flows[f].src, flows[f].dst, best)) {
-      load[static_cast<std::size_t>(l)] += 1.0;
-    }
-  }
+  CandidateChoice choice = clos_choice(middles);
+  const std::size_t rerouted =
+      reroute_dead_choice(net.topology(), candidate_paths(net, flows), choice);
+  middles = clos_middles(choice);
   OBS_COUNTER_ADD("fault.reroutes", rerouted);
   return rerouted;
 }

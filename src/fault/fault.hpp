@@ -123,12 +123,13 @@ std::size_t apply(ClosNetwork& net, const FailureScenario& scenario);
 /// already-degraded fabric it removes the most valuable survivors.
 [[nodiscard]] FailureScenario worst_case_outage(const ClosNetwork& net, int k);
 
-/// Moves every flow whose current 4-link path crosses a zero-capacity link to
-/// the usable middle minimizing the resulting unit-demand max congestion
-/// (deterministic: flows in index order, ties toward the lowest middle).
-/// Flows with no usable middle — dead source/destination link, or every
-/// middle unusable for their ToR pair — keep their assignment and stay
-/// starved. Returns the number of flows moved; bumps fault.reroutes.
+/// Moves every flow whose current 4-link path crosses a zero-capacity link,
+/// in index order, to the middle the least-congested engine's greedy rule
+/// picks under unit loads of all flows (routing/generic.hpp): the least
+/// congested live middle, ties toward the lowest index. Flows with no usable
+/// middle — dead source/destination link, or every middle unusable for their
+/// ToR pair — keep their assignment and stay starved. Returns the number of
+/// flows moved; bumps fault.reroutes.
 std::size_t reroute_dead_paths(const ClosNetwork& net, const FlowSet& flows,
                                MiddleAssignment& middles);
 

@@ -155,4 +155,16 @@ Path ClosNetwork::path(NodeId src, NodeId dst, int m) const {
               dest_link(t.tor, t.server)};
 }
 
+std::vector<Path> ClosNetwork::paths(NodeId src, NodeId dst) const {
+  const ServerCoord s = source_coord(src);
+  const ServerCoord t = dest_coord(dst);
+  std::vector<Path> all;
+  all.reserve(static_cast<std::size_t>(num_middles()));
+  for (int m = 1; m <= num_middles(); ++m) {
+    all.push_back(Path{source_link(s.tor, s.server), uplink(s.tor, m), downlink(m, t.tor),
+                       dest_link(t.tor, t.server)});
+  }
+  return all;
+}
+
 }  // namespace closfair

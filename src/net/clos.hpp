@@ -68,6 +68,8 @@ class ClosNetwork {
 
   /// The unique src-dst path through middle switch m (4 links).
   [[nodiscard]] Path path(NodeId src, NodeId dst, int m) const;
+  /// All n src-dst paths, through middles 1..n in order.
+  [[nodiscard]] std::vector<Path> paths(NodeId src, NodeId dst) const;
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
 

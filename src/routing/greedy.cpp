@@ -1,78 +1,12 @@
 #include "routing/greedy.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <numeric>
+#include "routing/generic.hpp"
 
 namespace closfair {
-namespace {
-
-// Place flows one at a time in the given order; for each, pick the middle
-// whose path has the lowest resulting max-congestion.
-MiddleAssignment place(const ClosNetwork& net, const FlowSet& flows,
-                       const std::vector<double>& demands,
-                       const std::vector<std::size_t>& order) {
-  const auto& topo = net.topology();
-  std::vector<double> load(topo.num_links(), 0.0);
-  MiddleAssignment middles(flows.size(), 1);
-
-  for (std::size_t idx : order) {
-    const Flow& flow = flows[idx];
-    int best_middle = 1;
-    double best_congestion = 0.0;
-    bool first = true;
-    for (int m = 1; m <= net.num_middles(); ++m) {
-      const Path path = net.path(flow.src, flow.dst, m);
-      double congestion = 0.0;
-      for (LinkId l : path) {
-        const Link& link = topo.link(l);
-        if (link.unbounded) continue;
-        const double cap = link.capacity.to_double();
-        if (cap == 0.0) {
-          // Dead link (fault/fault.hpp mask): infinitely congested, never a
-          // 0/0 NaN even for zero-demand flows. Chosen only if every path of
-          // this flow is dead.
-          congestion = std::numeric_limits<double>::infinity();
-          break;
-        }
-        const double c = (load[static_cast<std::size_t>(l)] + demands[idx]) / cap;
-        congestion = std::max(congestion, c);
-      }
-      if (first || congestion < best_congestion) {
-        first = false;
-        best_congestion = congestion;
-        best_middle = m;
-      }
-    }
-    middles[idx] = best_middle;
-    for (LinkId l : net.path(flow.src, flow.dst, best_middle)) {
-      load[static_cast<std::size_t>(l)] += demands[idx];
-    }
-  }
-  return middles;
-}
-
-}  // namespace
 
 MiddleAssignment greedy_routing(const ClosNetwork& net, const FlowSet& flows,
-                                const std::vector<double>& demands,
-                                const GreedyOptions& options) {
-  CF_CHECK_MSG(demands.size() == flows.size(),
-               "demands cover " << demands.size() << " flows, expected " << flows.size());
-  std::vector<std::size_t> order(flows.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (options.sort_by_demand) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) { return demands[a] > demands[b]; });
-  }
-  return place(net, flows, demands, order);
-}
-
-MiddleAssignment greedy_routing_unit(const ClosNetwork& net, const FlowSet& flows) {
-  std::vector<double> unit(flows.size(), 1.0);
-  std::vector<std::size_t> order(flows.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return place(net, flows, unit, order);
+                                const std::vector<double>& demands) {
+  return clos_middles(greedy_choice(net.topology(), candidate_paths(net, flows), demands));
 }
 
 }  // namespace closfair

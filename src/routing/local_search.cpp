@@ -1,45 +1,21 @@
 #include "routing/local_search.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "fairness/waterfill.hpp"
 #include "fault/fault.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/generic.hpp"
 
 namespace closfair {
-namespace {
 
-// Objective for congestion descent: (max link congestion, sum of squared
-// loads). The quadratic tie-breaker spreads load even when the max is fixed.
-struct CongestionScore {
-  double max_congestion = 0.0;
-  double sum_sq = 0.0;
-
-  friend bool operator<(const CongestionScore& a, const CongestionScore& b) {
-    if (a.max_congestion != b.max_congestion) return a.max_congestion < b.max_congestion;
-    return a.sum_sq < b.sum_sq;
-  }
-};
-
-CongestionScore score_loads(const Topology& topo, const std::vector<double>& load) {
-  CongestionScore s;
-  for (std::size_t l = 0; l < load.size(); ++l) {
-    const Link& link = topo.link(static_cast<LinkId>(l));
-    if (link.unbounded) continue;
-    const double cap = link.capacity.to_double();
-    if (cap == 0.0) {
-      // Dead link (fault mask): any load on it is infinitely congested; an
-      // idle dead link costs nothing. Guards the 0/0 NaN that would poison
-      // every score comparison.
-      if (load[l] > 0.0) s.max_congestion = std::numeric_limits<double>::infinity();
-    } else {
-      s.max_congestion = std::max(s.max_congestion, load[l] / cap);
-    }
-    s.sum_sq += load[l] * load[l];
-  }
-  return s;
+MiddleAssignment congestion_local_search(const ClosNetwork& net, const FlowSet& flows,
+                                         const std::vector<double>& demands,
+                                         MiddleAssignment start,
+                                         const LocalSearchOptions& options) {
+  return clos_middles(local_search_choice(net.topology(), candidate_paths(net, flows), demands,
+                                          clos_choice(start), options.max_moves));
 }
+
+namespace {
 
 // Per-flow usable-middle mask (flat |F| x n, 1 = usable) for degraded
 // fabrics; empty when the fabric has no dead fabric link, in which case the
@@ -58,68 +34,6 @@ std::vector<char> usable_mask(const ClosNetwork& net, const FlowSet& flows) {
   }
   return mask;
 }
-
-}  // namespace
-
-MiddleAssignment congestion_local_search(const ClosNetwork& net, const FlowSet& flows,
-                                         const std::vector<double>& demands,
-                                         MiddleAssignment start,
-                                         const LocalSearchOptions& options) {
-  CF_CHECK(demands.size() == flows.size());
-  CF_CHECK(start.size() == flows.size());
-  const auto& topo = net.topology();
-
-  std::vector<double> load(topo.num_links(), 0.0);
-  for (FlowIndex f = 0; f < flows.size(); ++f) {
-    for (LinkId l : net.path(flows[f].src, flows[f].dst, start[f])) {
-      load[static_cast<std::size_t>(l)] += demands[f];
-    }
-  }
-  CongestionScore current = score_loads(topo, load);
-
-  const std::vector<char> usable = usable_mask(net, flows);
-  const std::size_t num_middles = static_cast<std::size_t>(net.num_middles());
-
-  std::size_t moves = 0;
-  bool improved = true;
-  while (improved && moves < options.max_moves) {
-    improved = false;
-    for (FlowIndex f = 0; f < flows.size() && moves < options.max_moves; ++f) {
-      const int old_m = start[f];
-      for (int m = 1; m <= net.num_middles(); ++m) {
-        if (m == old_m) continue;
-        // Never move a flow onto a dead middle (degraded fabrics only).
-        if (!usable.empty() && !usable[f * num_middles + static_cast<std::size_t>(m - 1)]) {
-          continue;
-        }
-        // Apply the move, score, keep or revert.
-        for (LinkId l : net.path(flows[f].src, flows[f].dst, old_m)) {
-          load[static_cast<std::size_t>(l)] -= demands[f];
-        }
-        for (LinkId l : net.path(flows[f].src, flows[f].dst, m)) {
-          load[static_cast<std::size_t>(l)] += demands[f];
-        }
-        const CongestionScore candidate = score_loads(topo, load);
-        if (candidate < current) {
-          current = candidate;
-          start[f] = m;
-          ++moves;
-          improved = true;
-          break;  // re-scan this flow's new neighborhood later
-        }
-        for (LinkId l : net.path(flows[f].src, flows[f].dst, m)) {
-          load[static_cast<std::size_t>(l)] -= demands[f];
-        }
-        for (LinkId l : net.path(flows[f].src, flows[f].dst, old_m)) {
-          load[static_cast<std::size_t>(l)] += demands[f];
-        }
-      }
-    }
-  }
-  return start;
-}
-
-namespace {
 
 // Shared skeleton for the two exact hill climbers: `better(candidate,
 // incumbent)` decides acceptance on (sorted rates, throughput).

@@ -4,7 +4,8 @@
 //
 //  * congestion descent — minimize the maximum link congestion given demands
 //    (the classic traffic-engineering objective the paper's related work
-//    optimizes);
+//    optimizes); a Clos adapter over the least-congested engine
+//    (routing/generic.hpp), which holds the score and its dead-link rules;
 //  * lexicographic max-min ascent — move flows while the *sorted vector of
 //    the resulting max-min fair allocation* improves lexicographically; this
 //    is a practical hill-climbing heuristic toward a lex-max-min fair
@@ -28,7 +29,10 @@ struct LocalSearchOptions {
 };
 
 /// Congestion descent: returns a locally optimal assignment under "minimize
-/// max path congestion, then total squared link load" for the given demands.
+/// max link congestion, then total squared link load" for the given demands.
+/// Flows are scanned in index order and middles ascending, and the first
+/// improving move is taken; a flow never moves onto a middle whose path
+/// crosses a dead link, and load on a dead link scores +inf congestion.
 [[nodiscard]] MiddleAssignment congestion_local_search(const ClosNetwork& net,
                                                        const FlowSet& flows,
                                                        const std::vector<double>& demands,

@@ -188,21 +188,17 @@ ClosRouting route_replicate(ClosRun& run) {
 
 FatTreeRouting fattree_none(FatTreeRun&) { return std::nullopt; }
 
-PathCandidates fattree_paths(const FatTreeRun& run) {
-  PathCandidates candidates;
-  candidates.reserve(run.flows.size());
-  for (const Flow& flow : run.flows) candidates.push_back(run.ft.paths(flow.src, flow.dst));
-  return candidates;
+FatTreeRouting fattree_ecmp(FatTreeRun& run) {
+  return ecmp_paths(candidate_paths(run.ft, run.flows), run.rng);
 }
 
-FatTreeRouting fattree_ecmp(FatTreeRun& run) { return ecmp_paths(fattree_paths(run), run.rng); }
-
 FatTreeRouting fattree_greedy(FatTreeRun& run) {
-  return greedy_paths(run.ft.topology(), fattree_paths(run), as_demands(run.macro));
+  return greedy_paths(run.ft.topology(), candidate_paths(run.ft, run.flows),
+                      as_demands(run.macro));
 }
 
 FatTreeRouting fattree_local_search(FatTreeRun& run) {
-  const PathCandidates candidates = fattree_paths(run);
+  const PathCandidates candidates = candidate_paths(run.ft, run.flows);
   const std::vector<double> demands = as_demands(run.macro);
   return congestion_local_search_paths(run.ft.topology(), candidates, demands,
                                        greedy_paths(run.ft.topology(), candidates, demands),

@@ -52,6 +52,14 @@ int get_int_field(const Json& value, const char* where, const char* key, int lo)
   return static_cast<int>(v);
 }
 
+/// A count field: a JSON integer >= 0, rejected with a reason naming `key`
+/// when negative, never cast to a huge unsigned value.
+std::uint64_t get_count(const Json& value, const char* where, const char* key) {
+  const std::int64_t v = get_int(value, key);
+  if (v < 0) fail(std::string{where} + ": " + key + " must be >= 0");
+  return static_cast<std::uint64_t>(v);
+}
+
 std::int64_t get_int_or(const Json& obj, const char* key, std::int64_t fallback) {
   const Json* found = obj.find(key);
   return found == nullptr ? fallback : get_int(*found, key);
@@ -133,6 +141,18 @@ Json rates_json(const std::vector<Rational>& rates) {
 
 // ------------------------------------------------------------------ topology
 
+// The tors/servers/capacity fields the clos and macro kinds share.
+void parse_fabric(const Json& obj, ClosNetwork::Params& params) {
+  params.num_tors = get_int_field(require(obj, "tors", "topology"), "topology", "tors", 1);
+  params.servers_per_tor =
+      get_int_field(require(obj, "servers", "topology"), "topology", "servers", 1);
+  const Json* cap = obj.find("capacity");
+  params.link_capacity = cap == nullptr ? Rational{1} : get_rational(*cap, "capacity");
+  if (params.link_capacity.is_negative() || params.link_capacity.is_zero()) {
+    fail("topology: capacity must be positive");
+  }
+}
+
 TopologySpec parse_topology(const Json& obj) {
   TopologySpec topo;
   const Json* kind = obj.find("kind");
@@ -158,23 +178,12 @@ TopologySpec parse_topology(const Json& obj) {
     } else {
       topo.params.num_middles =
           get_int_field(require(obj, "middles", "topology"), "topology", "middles", 1);
-      topo.params.num_tors = get_int_field(require(obj, "tors", "topology"), "topology", "tors", 1);
-      topo.params.servers_per_tor =
-          get_int_field(require(obj, "servers", "topology"), "topology", "servers", 1);
-      const Json* cap = obj.find("capacity");
-      topo.params.link_capacity = cap == nullptr ? Rational{1} : get_rational(*cap, "capacity");
-      if (topo.params.link_capacity.is_negative() || topo.params.link_capacity.is_zero()) {
-        fail("topology: capacity must be positive");
-      }
+      parse_fabric(obj, topo.params);
     }
   } else if (topo.kind == "macro") {
     check_keys(obj, {"kind", "tors", "servers", "capacity"}, "topology");
     topo.params.num_middles = 1;
-    topo.params.num_tors = get_int_field(require(obj, "tors", "topology"), "topology", "tors", 1);
-    topo.params.servers_per_tor =
-        get_int_field(require(obj, "servers", "topology"), "topology", "servers", 1);
-    const Json* cap = obj.find("capacity");
-    topo.params.link_capacity = cap == nullptr ? Rational{1} : get_rational(*cap, "capacity");
+    parse_fabric(obj, topo.params);
   } else if (topo.kind == "fattree") {
     check_keys(obj, {"kind", "k"}, "topology");
     const std::int64_t k = get_int(require(obj, "k", "topology"), "k");
@@ -798,8 +807,7 @@ ScenarioResult ScenarioResult::from_json(const Json& json) {
               "rerouted", "search", "replication"},
              "result");
   ScenarioResult result;
-  result.num_flows =
-      static_cast<std::size_t>(get_int(require(json, "flows", "result"), "flows"));
+  result.num_flows = get_count(require(json, "flows", "result"), "result", "flows");
   result.macro_rates = get_rates(require(json, "macro_rates", "result"), "macro_rates");
   result.macro_throughput =
       get_rational(require(json, "macro_throughput", "result"), "macro_throughput");
@@ -819,15 +827,15 @@ ScenarioResult ScenarioResult::from_json(const Json& json) {
     result.surviving_middles = get_int_field(*surviving, "result", "surviving_middles", 0);
   }
   if (const Json* rerouted = json.find("rerouted"); rerouted != nullptr) {
-    result.rerouted = static_cast<std::size_t>(get_int(*rerouted, "rerouted"));
+    result.rerouted = get_count(*rerouted, "result", "rerouted");
   }
   if (const Json* stats = json.find("search"); stats != nullptr) {
     check_keys(*stats, {"routings_evaluated", "waterfill_invocations"}, "result.search");
     SearchStats s;
-    s.routings_evaluated = static_cast<std::uint64_t>(
-        get_int(require(*stats, "routings_evaluated", "search"), "routings_evaluated"));
-    s.waterfill_invocations = static_cast<std::uint64_t>(get_int(
-        require(*stats, "waterfill_invocations", "search"), "waterfill_invocations"));
+    s.routings_evaluated = get_count(require(*stats, "routings_evaluated", "search"),
+                                     "result.search", "routings_evaluated");
+    s.waterfill_invocations = get_count(require(*stats, "waterfill_invocations", "search"),
+                                        "result.search", "waterfill_invocations");
     result.search = s;
   }
   if (const Json* stats = json.find("replication"); stats != nullptr) {
@@ -836,8 +844,8 @@ ScenarioResult ScenarioResult::from_json(const Json& json) {
     const Json& feasible = require(*stats, "feasible", "replication");
     if (!feasible.is_bool()) fail("replication.feasible must be a boolean");
     s.feasible = feasible.as_bool();
-    s.nodes_explored = static_cast<std::uint64_t>(
-        get_int(require(*stats, "nodes_explored", "replication"), "nodes_explored"));
+    s.nodes_explored = get_count(require(*stats, "nodes_explored", "replication"),
+                                 "result.replication", "nodes_explored");
     if (const Json* witness = stats->find("witness"); witness != nullptr) {
       s.witness = get_middles(*witness, "replication", "witness");
     }

@@ -278,7 +278,8 @@ TEST(Fault, GreedyAvoidsDeadMiddles) {
   Rng rng(5);
   const FlowSet flows = instantiate(
       net, uniform_random(Fabric{net.num_tors(), net.servers_per_tor()}, 20, rng));
-  const MiddleAssignment middles = greedy_routing_unit(net, flows);
+  const std::vector<double> unit(flows.size(), 1.0);
+  const MiddleAssignment middles = greedy_routing(net, flows, unit);
   for (int m : middles) EXPECT_NE(m, 3);
 }
 

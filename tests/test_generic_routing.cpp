@@ -101,5 +101,33 @@ TEST(GenericRouting, SingleCandidateIsForced) {
   EXPECT_EQ(greedy_paths(fx.ft.topology(), candidates, {1.0}).path(0), candidates[0][0]);
 }
 
+// A zero-capacity link is dead: s -> y below. Flow 0 has only the dead path
+// s-z-t, so the load score's max congestion is +inf from the start; flows 1
+// and 2 share s-x-t, and moving either onto s-y-t would spread load (lower
+// sum of squares) at the same +inf max, yet local search must never enter a
+// dead candidate. A zero-demand flow whose first candidate is dead scores it
+// +inf, not (0 + 0) / 0 = NaN, so greedy takes the live one.
+TEST(GenericRouting, ZeroCapacityLinkIsDead) {
+  Topology topo;
+  const NodeId s = topo.add_node("s", NodeKind::kSource);
+  const NodeId x = topo.add_node("x", NodeKind::kOther);
+  const NodeId y = topo.add_node("y", NodeKind::kOther);
+  const NodeId z = topo.add_node("z", NodeKind::kOther);
+  const NodeId t = topo.add_node("t", NodeKind::kDestination);
+  const Path live = {topo.add_link(s, x, Rational{1}), topo.add_link(x, t, Rational{1})};
+  const Path dead = {topo.add_link(s, y, Rational{0}), topo.add_link(y, t, Rational{1})};
+  const Path stranded = {topo.add_link(s, z, Rational{0}), topo.add_link(z, t, Rational{1})};
+
+  const Routing greedy = greedy_paths(topo, {{dead, live}}, {0.0});
+  EXPECT_EQ(greedy.path(0), live);
+
+  const PathCandidates candidates = {{stranded}, {live, dead}, {live, dead}};
+  const Routing start{{stranded, live, live}};
+  const Routing searched =
+      congestion_local_search_paths(topo, candidates, {1.0, 1.0, 1.0}, start);
+  EXPECT_EQ(searched.path(1), live);
+  EXPECT_EQ(searched.path(2), live);
+}
+
 }  // namespace
 }  // namespace closfair

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "fairness/waterfill.hpp"
+#include "fault/fault.hpp"
+#include "svc/spec.hpp"
 #include "workload/stochastic.hpp"
 
 namespace closfair {
@@ -61,7 +64,8 @@ TEST(Greedy, SpreadsEqualFlowsAcrossMiddles) {
   FlowCollection specs;
   for (int j = 1; j <= n; ++j) specs.push_back(FlowSpec{1, j, 2, j});
   const FlowSet flows = instantiate(net, specs);
-  const MiddleAssignment m = greedy_routing_unit(net, flows);
+  const std::vector<double> unit(flows.size(), 1.0);
+  const MiddleAssignment m = greedy_routing(net, flows, unit);
   std::vector<int> sorted = m;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (MiddleAssignment{1, 2, 3, 4}));
@@ -149,6 +153,61 @@ TEST(LocalSearch, RespectsMoveBudget) {
   options.max_moves = 1;
   const auto result = lex_max_min_local_search(net, flows, MiddleAssignment(12, 1), options);
   EXPECT_LE(result.moves, 1u);
+}
+
+// Golden for the three Clos congestion heuristics (greedy, congestion descent
+// at 64 moves, dead-path reroute) over seeded pristine and degraded C_3-C_5
+// cells: an FNV-1a digest of every middle they return and every reroute
+// count. Degraded cells sample middle outages and link failures, demands mix
+// zero, fractional and unit values, and the descent also starts from a random
+// assignment so it must climb off dead paths. Any change to placement order,
+// tie-breaking or the dead-link rules moves the digest.
+TEST(RoutingEngine, ClosHeuristicsMatchSeededDigest) {
+  const double kDemands[] = {0.0, 0.25, 1.0 / 3.0, 0.5, 1.0};
+  Rng rng(20240618);
+  std::string trace;
+  auto record = [&](const MiddleAssignment& middles) {
+    for (int m : middles) trace += std::to_string(m) + ',';
+    trace += ';';
+  };
+  std::size_t cells = 0;
+  std::size_t dead_cells = 0;
+  std::size_t reroutes = 0;
+  for (int n = 3; n <= 5; ++n) {
+    for (int cell = 0; cell < 400; ++cell) {
+      ClosNetwork net = ClosNetwork::paper(n);
+      if (cell % 4 == 1 || cell % 4 == 3) {
+        fault::apply(net, fault::sample_middle_outage(
+                              net, 1 + static_cast<int>(rng.next_below(n - 1)), rng));
+      }
+      if (cell % 4 >= 2) fault::apply(net, fault::sample_link_failures(net, 0.15, rng));
+      if (fault::has_dead_fabric_links(net)) ++dead_cells;
+
+      const std::size_t count = 8 + rng.next_below(33);
+      const FlowSet flows = instantiate(
+          net, uniform_random(Fabric{net.num_tors(), net.servers_per_tor()}, count, rng));
+      std::vector<double> demands(flows.size(), 1.0);
+      if (cell % 3 != 0) {
+        for (double& d : demands) d = kDemands[rng.next_below(std::size(kDemands))];
+      }
+      MiddleAssignment random_start(flows.size());
+      for (int& m : random_start) m = 1 + static_cast<int>(rng.next_below(n));
+
+      const MiddleAssignment greedy = greedy_routing(net, flows, demands);
+      record(greedy);
+      record(congestion_local_search(net, flows, demands, greedy, {64}));
+      record(congestion_local_search(net, flows, demands, random_start, {64}));
+      const std::size_t moved = fault::reroute_dead_paths(net, flows, random_start);
+      record(random_start);
+      trace += std::to_string(moved) + '|';
+      reroutes += moved;
+      ++cells;
+    }
+  }
+  EXPECT_GE(cells, 1000u);
+  EXPECT_GE(dead_cells, 800u);
+  EXPECT_GT(reroutes, 1000u);
+  EXPECT_EQ(svc::fnv1a64(trace), 0xd79984b204b6b39fULL);
 }
 
 }  // namespace

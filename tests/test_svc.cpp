@@ -317,6 +317,23 @@ TEST(SvcSpec, MacroServersMustFitInInt) {
             "topology: servers does not fit in int");
 }
 
+// The macro kind reads tors/servers/capacity with the clos reader, so a
+// capacity that is not positive is a parse error on both kinds; before, a
+// macro capacity of 0 was answered with all-zero rates and "-1" failed a
+// contract check while the topology was built.
+TEST(SvcSpec, MacroCapacityMustBePositive) {
+  for (const std::string kind : {R"("kind":"macro")", R"("kind":"clos","middles":1)"}) {
+    for (const std::string cap : {"0", R"("-1")", R"("-1/2")"}) {
+      const std::string topology = "{" + kind + R"(,"tors":2,"servers":1,"capacity":)" + cap + "}";
+      EXPECT_EQ(spec_error(workload_spec(topology)), "topology: capacity must be positive")
+          << topology;
+    }
+  }
+  EXPECT_EQ(parse_spec(workload_spec(R"({"kind":"macro","tors":2,"servers":1,"capacity":"1/2"})"))
+                .topology.params.link_capacity,
+            Rational(1, 2));
+}
+
 TEST(SvcSpec, FatTreeKMustFitInInt) {
   EXPECT_EQ(spec_error(workload_spec(R"({"kind":"fattree","k":4294967298})")),
             "topology: k does not fit in int");
@@ -565,6 +582,63 @@ TEST(SvcCache, TornTrailingRecordIsSkippedNotFatal) {
   std::stringstream in2(full.substr(0, full.size() - 21));
   svc::ResultCache reloaded2(4);
   EXPECT_EQ(reloaded2.load(in2), 1u);
+}
+
+// Count fields of a spilled result are non-negative: before, "flows":-1
+// reloaded and was served "cached":true. The reason names the key.
+TEST(SvcCache, NegativeCountsInASpillAreRejected) {
+  const std::string base = R"({"flows":1,"macro_rates":["1/2"],"macro_throughput":"1/2")";
+  const std::pair<std::string, std::string> cases[] = {
+      {R"(,"rerouted":-1})", "result: rerouted must be >= 0"},
+      {R"(,"search":{"routings_evaluated":-1,"waterfill_invocations":1}})",
+       "result.search: routings_evaluated must be >= 0"},
+      {R"(,"search":{"routings_evaluated":1,"waterfill_invocations":-1}})",
+       "result.search: waterfill_invocations must be >= 0"},
+      {R"(,"replication":{"feasible":false,"nodes_explored":-1}})",
+       "result.replication: nodes_explored must be >= 0"},
+  };
+  const auto reject_reason = [](const std::string& text) -> std::string {
+    try {
+      (void)svc::ScenarioResult::from_json(Json::parse(text));
+    } catch (const svc::SpecError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(reject_reason(R"({"flows":-1,"macro_rates":["1/2"],"macro_throughput":"1/2"})"),
+            "result: flows must be >= 0");
+  for (const auto& [tail, reason] : cases) {
+    EXPECT_EQ(reject_reason(base + tail), reason) << tail;
+  }
+
+  svc::ResultCache cache(4);
+  cache.insert(seeded_spec_canonical(1), tiny_result(1));
+  cache.insert(seeded_spec_canonical(2), tiny_result(2));
+  std::stringstream spill;
+  cache.save(spill);
+  const std::string full = spill.str();
+  const std::size_t second = full.find('\n') + 1;
+  const std::string first_line = full.substr(0, second);
+  std::string last_line = full.substr(second);
+  const std::size_t flows = last_line.find(R"("flows":2)");
+  ASSERT_NE(flows, std::string::npos) << last_line;
+  last_line.replace(flows, 9, R"("flows":-1)");
+
+  // As the trailing line it reads as a torn record: skipped, not served.
+  std::stringstream trailing(first_line + last_line);
+  svc::ResultCache reloaded(4);
+  EXPECT_EQ(reloaded.load(trailing), 1u);
+  EXPECT_FALSE(reloaded.lookup(seeded_spec_canonical(2)).has_value());
+
+  // Followed by more content it is corruption, reported with its line.
+  std::stringstream mid_file(last_line + first_line);
+  svc::ResultCache target(4);
+  try {
+    target.load(mid_file);
+    FAIL() << "expected a load error";
+  } catch (const svc::SpecError& e) {
+    EXPECT_EQ(std::string(e.what()), "cache line 1: result: flows must be >= 0");
+  }
 }
 
 // ------------------------------------------------------------------- service
