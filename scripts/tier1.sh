@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: a metric-name docs drift check
 # (scripts/check_metrics_docs.sh), full build + test suite, a closfair_serve
-# smoke run diffed against a committed golden transcript, a cache-spill
+# smoke run diffed against a committed golden transcript, a sweep golden
+# (generated Clos, faulted, fat-tree, Thm 4.2, exhaustive and climb cells)
+# diffed at 1 and at 4 batch workers, a cache-spill
 # smoke (the same run twice over one --cache-file: the spill must equal its
 # committed golden and the second run must answer every line from the
 # reloaded cache with the golden's hash and result bytes), a wire-server
@@ -64,6 +66,19 @@ if ! grep -q '"cached":true' "$SMOKE_OUT"; then
   exit 1
 fi
 echo "3 requests answered, duplicate served from cache, golden matched"
+
+echo
+echo "== tier 1: sweep golden at 1 and 4 workers =="
+new_tmp SWEEP_OUT
+for workers in 1 4; do
+  build/examples/closfair_serve --workers "$workers" \
+      --in tests/golden/sweep_requests.jsonl --out "$SWEEP_OUT"
+  if ! diff -u tests/golden/sweep_responses.jsonl "$SWEEP_OUT"; then
+    echo "FAIL: sweep responses at --workers $workers diverged from the committed golden"
+    exit 1
+  fi
+done
+echo "$(wc -l < tests/golden/sweep_requests.jsonl) sweep cells matched the golden at 1 and 4 workers"
 
 echo
 echo "== tier 1: cache spill smoke (--cache-file written, reloaded, served) =="

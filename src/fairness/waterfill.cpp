@@ -19,7 +19,6 @@ void WaterfillWorkspace::bind(const ClosNetwork& net, const FlowSet& flows) {
   const int n = net.num_middles();
   num_middles_ = n;
   num_flows_ = flows.size();
-  words_ = (num_flows_ + 63) / 64;
   const std::size_t num_links = topo.num_links();
 
   capacity_.assign(num_links, Rational{0});
@@ -28,6 +27,55 @@ void WaterfillWorkspace::bind(const ClosNetwork& net, const FlowSet& flows) {
     CF_CHECK_MSG(!link.unbounded, "WaterfillWorkspace requires bounded links");
     capacity_[l] = link.capacity;
   }
+
+  // Uplink/downlink ids interleaved per (flow, middle) so map_candidate
+  // reads both middle-dependent links of a flow from one cache line.
+  flow_links_.assign(4 * num_flows_, kInvalidLink);
+  updown_of_.assign(num_flows_ * static_cast<std::size_t>(n) * 2, kInvalidLink);
+  for (FlowIndex f = 0; f < num_flows_; ++f) {
+    const ClosNetwork::ServerCoord s = net.source_coord(flows[f].src);
+    const ClosNetwork::ServerCoord t = net.dest_coord(flows[f].dst);
+    flow_links_[4 * f + 0] = net.source_link(s.tor, s.server);
+    flow_links_[4 * f + 3] = net.dest_link(t.tor, t.server);
+    for (int m = 1; m <= n; ++m) {
+      const std::size_t base = (f * static_cast<std::size_t>(n) + (m - 1)) * 2;
+      updown_of_[base + 0] = net.uplink(s.tor, m);
+      updown_of_[base + 1] = net.downlink(m, t.tor);
+    }
+  }
+  bind_slots();
+}
+
+void WaterfillWorkspace::bind_server_links(const MacroSwitch::Params& params,
+                                           const FlowCollection& flows) {
+  CF_CHECK(params.num_tors >= 1 && params.servers_per_tor >= 1);
+  num_middles_ = 0;
+  num_flows_ = flows.size();
+  // Dense link ids of their own: source link (i, j) is (i-1)*S + (j-1), and
+  // destination links follow all source links.
+  const std::size_t servers =
+      static_cast<std::size_t>(params.num_tors) * static_cast<std::size_t>(params.servers_per_tor);
+  const auto link_of = [&](int tor, int server) {
+    CF_CHECK_MSG(tor >= 1 && tor <= params.num_tors && server >= 1 &&
+                     server <= params.servers_per_tor,
+                 "server (" << tor << ", " << server << ") outside the macro-switch");
+    return static_cast<std::size_t>(tor - 1) * static_cast<std::size_t>(params.servers_per_tor) +
+           static_cast<std::size_t>(server - 1);
+  };
+  capacity_.assign(2 * servers, params.link_capacity);
+  flow_links_.assign(4 * num_flows_, kInvalidLink);
+  updown_of_.clear();
+  for (FlowIndex f = 0; f < num_flows_; ++f) {
+    flow_links_[4 * f + 0] = static_cast<LinkId>(link_of(flows[f].src_tor, flows[f].src_server));
+    flow_links_[4 * f + 3] =
+        static_cast<LinkId>(servers + link_of(flows[f].dst_tor, flows[f].dst_server));
+  }
+  bind_slots();
+}
+
+void WaterfillWorkspace::bind_slots() {
+  words_ = (num_flows_ + 63) / 64;
+  const std::size_t num_links = capacity_.size();
 
   // Fixed-denominator scaling: common_den_ = lcm of every capacity
   // denominator; scaled_capacity_[l] = num_l * (common_den_ / den_l). The
@@ -48,22 +96,6 @@ void WaterfillWorkspace::bind(const ClosNetwork& net, const FlowSet& flows) {
   count_rational_.reserve(num_flows_ + 1);
   for (std::size_t k = 0; k <= num_flows_; ++k) {
     count_rational_.push_back(Rational{static_cast<std::int64_t>(k)});
-  }
-
-  // Uplink/downlink ids interleaved per (flow, middle) so map_candidate
-  // reads both middle-dependent links of a flow from one cache line.
-  flow_links_.assign(4 * num_flows_, kInvalidLink);
-  updown_of_.assign(num_flows_ * static_cast<std::size_t>(n) * 2, kInvalidLink);
-  for (FlowIndex f = 0; f < num_flows_; ++f) {
-    const ClosNetwork::ServerCoord s = net.source_coord(flows[f].src);
-    const ClosNetwork::ServerCoord t = net.dest_coord(flows[f].dst);
-    flow_links_[4 * f + 0] = net.source_link(s.tor, s.server);
-    flow_links_[4 * f + 3] = net.dest_link(t.tor, t.server);
-    for (int m = 1; m <= n; ++m) {
-      const std::size_t base = (f * static_cast<std::size_t>(n) + (m - 1)) * 2;
-      updown_of_[base + 0] = net.uplink(s.tor, m);
-      updown_of_[base + 1] = net.downlink(m, t.tor);
-    }
   }
 
   epoch_ = 0;
@@ -151,6 +183,12 @@ void WaterfillWorkspace::bind(const ClosNetwork& net, const FlowSet& flows) {
         flow_slot_[4 * f + 3] = j;
       }
     }
+    // Without a middle stage no call maps the two fabric entries, so they
+    // address the sink too.
+    if (num_middles_ == 0) {
+      flow_slot_[4 * f + 1] = sink_slot;
+      flow_slot_[4 * f + 2] = sink_slot;
+    }
   }
 
   last_call_fast_ = false;
@@ -181,15 +219,19 @@ void WaterfillWorkspace::map_candidate(const MiddleAssignment& middles) {
     epoch_ = 1;
   }
   // Replay the bind-time endpoint slots wholesale, then map only the two
-  // middle-dependent links of each flow through the epoch table.
+  // middle-dependent links of each flow through the epoch table. The
+  // single-word lane's fast engine derives active counts straight from
+  // popcount(mask & live), so it maintains neither slot_active_ nor
+  // flow_slot_ (the fallback re-derives what it needs on its own).
   num_slots_ = num_fixed_;
   std::copy_n(fixed_residual_template_.begin(), num_fixed_,
               slot_residual_num_.begin());
+  std::copy_n(fixed_mask_template_.begin(), num_fixed_ * words_, slot_mask_.begin());
+  if (words_ != 1) {
+    std::copy_n(fixed_active_template_.begin(), num_fixed_, slot_active_.begin());
+  }
+  if (num_middles_ == 0) return;  // bind_server_links: no middle stage
   if (words_ == 1) {
-    // Single-word lane: the fast engine derives active counts straight from
-    // popcount(mask & live), so neither slot_active_ nor flow_slot_ is
-    // maintained here (the fallback re-derives what it needs on its own).
-    std::copy_n(fixed_mask_template_.begin(), num_fixed_, slot_mask_.begin());
     for (FlowIndex f = 0; f < num_flows_; ++f) {
       const int m = middles[f];
       CF_CHECK_MSG(m >= 1 && m <= num_middles_,
@@ -212,9 +254,6 @@ void WaterfillWorkspace::map_candidate(const MiddleAssignment& middles) {
     }
     return;
   }
-  std::copy_n(fixed_active_template_.begin(), num_fixed_, slot_active_.begin());
-  std::copy_n(fixed_mask_template_.begin(), num_fixed_ * words_,
-              slot_mask_.begin());
   for (FlowIndex f = 0; f < num_flows_; ++f) {
     const int m = middles[f];
     CF_CHECK_MSG(m >= 1 && m <= num_middles_,
@@ -627,9 +666,10 @@ void WaterfillWorkspace::run_fallback(std::uint64_t& rounds,
 
 const std::vector<Rational>& WaterfillWorkspace::max_min_rates(
     const MiddleAssignment& middles) {
-  CF_CHECK_MSG(middles.size() == num_flows_,
+  const std::size_t expected = num_middles_ == 0 ? 0 : num_flows_;
+  CF_CHECK_MSG(middles.size() == expected,
                "middle assignment covers " << middles.size() << " flows, expected "
-                                           << num_flows_);
+                                           << expected);
   map_candidate(middles);
 
   // Telemetry accumulates in plain locals; the registry is touched once per

@@ -11,9 +11,10 @@
 //  - the generic template below, for any Topology/Routing and either rate
 //    domain (R = Rational exact, R = double for the simulator), built on a
 //    bind-time bounded-link index so rounds never re-deref the topology;
-//  - WaterfillWorkspace, the exhaustive-search inner loop, which adds an
-//    int64 fixed-denominator fast path and a bitset link-membership sweep
-//    (see waterfill.cpp and docs/ALGORITHMS.md "Water-fill fast path").
+//  - WaterfillWorkspace, the Clos engine of exhaustive search and of the
+//    service's final and macro-reference allocations, which adds an int64
+//    fixed-denominator fast path and a bitset link-membership sweep (see
+//    waterfill.cpp and docs/ALGORITHMS.md "Water-fill fast path").
 #pragma once
 
 #include <cstdint>
@@ -222,7 +223,8 @@ template <typename R>
 }
 
 /// Reusable exact water-filling state for repeated evaluation of Clos middle
-/// assignments — the exhaustive-search inner loop.
+/// assignments — the exhaustive-search inner loop, and the service's one-shot
+/// Clos and macro-switch allocations.
 ///
 /// `bind` precomputes, per flow, the two routing-independent links (source
 /// and destination) and a per-middle uplink/downlink lookup table, so a
@@ -258,9 +260,16 @@ class WaterfillWorkspace {
   /// Bind to an instance; sizes all buffers. May be called again to re-bind.
   void bind(const ClosNetwork& net, const FlowSet& flows);
 
-  /// Max-min fair rates in flow order for `middles`. The returned reference
-  /// (and its `data()` pointer) stays valid and stable until the next call;
-  /// callers needing persistence must copy.
+  /// Bind to the server links alone: the macro-switch of `params`, whose
+  /// unbounded middle stage constrains nothing (§2.1), over the
+  /// coordinate-level `flows`. No topology is built, and every slot is a
+  /// fixed endpoint slot; max_min_rates then takes an empty assignment.
+  void bind_server_links(const MacroSwitch::Params& params, const FlowCollection& flows);
+
+  /// Max-min fair rates in flow order for `middles` (empty after
+  /// bind_server_links). The returned reference (and its `data()` pointer)
+  /// stays valid and stable until the next call; callers needing persistence
+  /// must copy.
   const std::vector<Rational>& max_min_rates(const MiddleAssignment& middles);
 
   /// True when bind found a common denominator scaling every capacity into
@@ -282,6 +291,11 @@ class WaterfillWorkspace {
   }
 
  private:
+  /// The bind tail shared by both modes: given capacity_ and each flow's
+  /// endpoint links in flow_links_, derives the fixed-denominator scaling,
+  /// sizes every buffer and builds the fixed endpoint slots.
+  void bind_slots();
+
   /// Maps `middles` onto dense per-used-link slots (capacities, flow
   /// bitsets). Shared prologue of both engines.
   void map_candidate(const MiddleAssignment& middles);
@@ -307,7 +321,7 @@ class WaterfillWorkspace {
   /// Sum of every member buffer's capacity — the steady-state alloc audit.
   [[nodiscard]] std::size_t buffer_capacity_sum() const;
 
-  int num_middles_ = 0;
+  int num_middles_ = 0;  ///< 0 after bind_server_links: no middle stage
   std::size_t num_flows_ = 0;
   std::size_t words_ = 0;  ///< bitset words per flow set: ceil(num_flows / 64)
 

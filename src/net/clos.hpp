@@ -25,6 +25,8 @@ class ClosNetwork {
     int num_tors = 2;         ///< input ToRs (= output ToRs)
     int servers_per_tor = 1;  ///< sources per input ToR (= dests per output ToR)
     Rational link_capacity{1};
+
+    friend bool operator==(const Params&, const Params&) = default;
   };
 
   /// The paper's C_n: n middles, 2n ToRs per side, n servers per ToR.

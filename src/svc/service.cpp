@@ -1,6 +1,10 @@
 #include "svc/service.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "fairness/waterfill.hpp"
 #include "fault/fault.hpp"
@@ -62,6 +66,86 @@ std::vector<double> as_demands(const Allocation<Rational>& macro) {
   return demands;
 }
 
+/// Per-thread reuse of pristine topologies, keyed by their params. A sweep
+/// evaluates many cells over a handful of fabric shapes, and building one
+/// (node names, link and index tables) costs about as much as the rest of a
+/// small cell. Each evaluating thread keeps its own entries, so lookups take
+/// no lock. Entries are immutable and handed out as shared pointers: an
+/// eviction never invalidates a topology in use, and a faulted cell degrades
+/// a copy. Bounds are compile-time constants, not knobs: kEntries per
+/// topology kind, least recently used out first, and a topology with more
+/// than kMaxLinks links is built for its one cell and never kept.
+template <typename Key, typename Net>
+class TopologyCache {
+ public:
+  static constexpr std::size_t kEntries = 8;
+  static constexpr std::size_t kMaxLinks = 4096;
+
+  template <typename Build>
+  std::shared_ptr<const Net> get(const Key& key, Build build) {
+    ++clock_;
+    for (Entry& entry : entries_) {
+      if (entry.key == key) {
+        entry.used = clock_;
+        OBS_COUNTER_INC("topo_cache.hits");
+        return entry.net;
+      }
+    }
+    OBS_COUNTER_INC("topo_cache.misses");
+    auto net = std::make_shared<const Net>(build());
+    if (net->topology().num_links() > kMaxLinks) return net;
+    Entry entry{key, net, clock_};
+    if (entries_.size() < kEntries) {
+      entries_.push_back(std::move(entry));
+    } else {
+      *std::min_element(entries_.begin(), entries_.end(),
+                        [](const Entry& a, const Entry& b) { return a.used < b.used; }) =
+          std::move(entry);
+    }
+    return net;
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    std::shared_ptr<const Net> net;
+    std::uint64_t used = 0;  ///< clock_ at the last hit or insert
+  };
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+};
+
+std::shared_ptr<const ClosNetwork> pristine_clos(const ClosNetwork::Params& params) {
+  thread_local TopologyCache<ClosNetwork::Params, ClosNetwork> cache;
+  return cache.get(params, [&] { return ClosNetwork(params); });
+}
+
+std::shared_ptr<const FatTree> pristine_fattree(int k) {
+  thread_local TopologyCache<int, FatTree> cache;
+  return cache.get(k, [&] { return FatTree(k); });
+}
+
+MacroSwitch::Params macro_params(const ClosNetwork::Params& params) {
+  return {params.num_tors, params.servers_per_tor, params.link_capacity};
+}
+
+/// The macro-switch reference: the unique max-min fair allocation of `specs`
+/// in the macro-switch of `params`. Its middle stage is unbounded, so the
+/// water-fill runs over the server links alone and no topology is built.
+Allocation<Rational> macro_reference(const MacroSwitch::Params& params,
+                                     const FlowCollection& specs) {
+  WaterfillWorkspace workspace;
+  workspace.bind_server_links(params, specs);
+  return Allocation<Rational>(workspace.max_min_rates({}));
+}
+
+/// The "maxmin_lp" objective's macro answer, on a built macro-switch.
+Allocation<Rational> macro_lp(const MacroSwitch::Params& params, const FlowCollection& specs) {
+  const MacroSwitch ms(params);
+  const FlowSet flows = instantiate(ms, specs);
+  return max_min_fair_lp<Rational>(ms.topology(), flows, macro_routing(ms, flows));
+}
+
 /// Shared tail: ratios of the routed allocation against the macro reference.
 void fill_routed(ScenarioResult& result, const Allocation<Rational>& alloc) {
   result.routed = true;
@@ -89,7 +173,6 @@ void fill_routed(ScenarioResult& result, const Allocation<Rational>& alloc) {
 struct ClosRun {
   const ScenarioSpec& spec;
   const ClosNetwork& net;
-  const MacroSwitch& ms;
   const FlowCollection& specs;
   const std::vector<std::optional<Rational>>& targets;
   const Allocation<Rational>& macro;
@@ -97,6 +180,10 @@ struct ClosRun {
   MiddleAssignment start;
   Rng rng;
   ScenarioResult& result;  ///< for the side outputs: search stats, replication
+  /// The max-min fair allocation of the returned routing, set by policies
+  /// that compute it anyway (the exhaustive searches, lex_climb, tput_climb); the
+  /// "maxmin" objective then answers with it instead of filling again.
+  std::optional<Allocation<Rational>> alloc;
 };
 
 /// What a fat-tree policy run reads; `rng` as for ClosRun.
@@ -129,26 +216,27 @@ MiddleAssignment climb_start(ClosRun& run) {
 }
 
 ClosRouting route_local_search(ClosRun& run) {
-  return congestion_local_search(run.net, run.flows, as_demands(run.macro), climb_start(run),
+  const std::vector<double> demands = as_demands(run.macro);
+  MiddleAssignment start = run.start.empty() ? greedy_routing(run.net, run.flows, demands)
+                                             : std::move(run.start);
+  return congestion_local_search(run.net, run.flows, demands, std::move(start),
                                  {run.spec.routing.max_moves});
 }
 
-ClosRouting route_lex_climb(ClosRun& run) {
-  return lex_max_min_local_search(run.net, run.flows, climb_start(run),
-                                  {run.spec.routing.max_moves})
-      .middles;
-}
-
-ClosRouting route_tput_climb(ClosRun& run) {
-  return throughput_max_min_local_search(run.net, run.flows, climb_start(run),
-                                         {run.spec.routing.max_moves})
-      .middles;
+template <LexSearchResult (*Climb)(const ClosNetwork&, const FlowSet&, MiddleAssignment,
+                                   const LocalSearchOptions&)>
+ClosRouting route_climb(ClosRun& run) {
+  LexSearchResult climb =
+      Climb(run.net, run.flows, climb_start(run), {run.spec.routing.max_moves});
+  run.alloc = std::move(climb.alloc);
+  return std::move(climb.middles);
 }
 
 ClosRouting route_doom(ClosRun& run) { return doom_switch(run.net, run.flows).middles; }
 
 ClosRouting route_lp_round(ClosRun& run) {
-  const SplittableMaxMin splittable = splittable_max_min(run.net, run.ms, run.specs);
+  const MacroSwitch ms(macro_params(run.spec.topology.params));
+  const SplittableMaxMin splittable = splittable_max_min(run.net, ms, run.specs);
   return round_splittable_best_of(run.net, run.flows, splittable, run.rng,
                                   run.spec.routing.attempts)
       .middles;
@@ -163,9 +251,10 @@ ClosRouting route_exhaustive(ClosRun& run) {
   options.fix_first_flow = routing.fix_first_flow;
   options.num_threads = routing.threads;
   options.prune_throughput_bound = routing.prune_throughput_bound;
-  const ExactRoutingResult exact = Search(run.net, run.flows, options);
+  ExactRoutingResult exact = Search(run.net, run.flows, options);
   run.result.search = SearchStats{exact.routings_evaluated, exact.waterfill_invocations};
-  return exact.middles;
+  run.alloc = std::move(exact.alloc);
+  return std::move(exact.middles);
 }
 
 /// Feasibility of the instance's declared target rates (§4.1); flows without
@@ -214,10 +303,10 @@ constexpr Policy kPolicies[] = {
     {"greedy", {"policy"}, false, route_greedy, fattree_greedy},
     {"local_search", {"policy", "max_moves", "start", "reroute_dead"}, false,
      route_local_search, fattree_local_search},
-    {"lex_climb", {"policy", "max_moves", "start", "reroute_dead"}, false, route_lex_climb,
-     nullptr},
+    {"lex_climb", {"policy", "max_moves", "start", "reroute_dead"}, false,
+     route_climb<lex_max_min_local_search>, nullptr},
     {"tput_climb", {"policy", "max_moves", "start", "reroute_dead"}, false,
-     route_tput_climb, nullptr},
+     route_climb<throughput_max_min_local_search>, nullptr},
     {"doom", {"policy"}, false, route_doom, nullptr},
     {"lp_round", {"policy", "seed", "attempts"}, false, route_lp_round, nullptr},
     {"exhaustive_lex", {"policy", "threads", "fix_first_flow", "max_routings"}, false,
@@ -247,20 +336,33 @@ Allocation<Rational> allocate(const ScenarioSpec& spec, const Topology& topo,
                                        : max_min_fair<Rational>(topo, flows, routing);
 }
 
+/// `allocate` for a Clos middle assignment: "maxmin" runs the workspace's
+/// int64 fill, byte-identical to the generic engine (the allocation of a
+/// fixed routing is unique, Lemma 2.2).
+Allocation<Rational> allocate(const ScenarioSpec& spec, const ClosNetwork& net,
+                              const FlowSet& flows, const MiddleAssignment& middles) {
+  if (spec.objective == "maxmin_lp") {
+    return max_min_fair_lp<Rational>(net.topology(), flows, expand_routing(net, flows, middles));
+  }
+  WaterfillWorkspace workspace;
+  workspace.bind(net, flows);
+  return Allocation<Rational>(workspace.max_min_rates(middles));
+}
+
 ScenarioResult evaluate_fattree(const ScenarioSpec& spec) {
   const Policy& policy = policy_of(spec);
   if (policy.fattree == nullptr) {
     fail("policy '" + spec.routing.policy + "' is not evaluable on a fat-tree topology");
   }
-  const FatTree ft(spec.topology.fattree_k);
+  const std::shared_ptr<const FatTree> shared = pristine_fattree(spec.topology.fattree_k);
+  const FatTree& ft = *shared;
   const Fabric fabric{ft.num_edge_switches(), ft.servers_per_edge()};
   Rng rng(spec.workload.seed);
   std::vector<std::optional<Rational>> targets;
   const FlowCollection specs = make_workload(spec.workload, fabric, rng, targets);
 
-  const MacroSwitch ms(MacroSwitch::Params{fabric.num_tors, fabric.servers_per_tor,
-                                           Rational{1}});
-  const auto macro = max_min_fair<Rational>(ms, instantiate(ms, specs));
+  const auto macro = macro_reference(
+      MacroSwitch::Params{fabric.num_tors, fabric.servers_per_tor, Rational{1}}, specs);
 
   ScenarioResult result;
   result.num_flows = specs.size();
@@ -284,13 +386,10 @@ ScenarioResult evaluate_clos(const ScenarioSpec& spec) {
   // The macro reference is always the *pristine* macro-switch: degraded-vs-
   // ideal ratios are the whole point of the fault studies. Under "none" it is
   // the answer itself, so the objective picks its solver.
-  const MacroSwitch ms(MacroSwitch::Params{spec.topology.params.num_tors,
-                                           spec.topology.params.servers_per_tor,
-                                           spec.topology.params.link_capacity});
-  const FlowSet ms_flows = instantiate(ms, specs);
-  const auto macro = policy.clos == route_none
-                         ? allocate(spec, ms.topology(), ms_flows, macro_routing(ms, ms_flows))
-                         : max_min_fair<Rational>(ms, ms_flows);
+  const MacroSwitch::Params ms_params = macro_params(spec.topology.params);
+  const auto macro = policy.clos == route_none && spec.objective == "maxmin_lp"
+                         ? macro_lp(ms_params, specs)
+                         : macro_reference(ms_params, specs);
 
   ScenarioResult result;
   result.num_flows = specs.size();
@@ -298,28 +397,31 @@ ScenarioResult evaluate_clos(const ScenarioSpec& spec) {
   result.macro_throughput = macro.throughput();
   if (spec.topology.kind == "macro") return result;
 
-  ClosNetwork net(spec.topology.params);
+  const std::shared_ptr<const ClosNetwork> pristine = pristine_clos(spec.topology.params);
+  std::optional<ClosNetwork> degraded;
   if (!spec.fault.empty()) {
     OBS_SPAN("svc.degrade");
+    ClosNetwork& copy = degraded.emplace(*pristine);
     // Order per svc/spec.hpp: explicit scenario, then the two samplers off
     // one stream (middles first), then the targeted worst-case outage
     // against the already-degraded fabric.
-    if (!spec.fault.scenario.empty()) fault::apply(net, spec.fault.scenario);
+    if (!spec.fault.scenario.empty()) fault::apply(copy, spec.fault.scenario);
     if (spec.fault.sample_middles > 0 || spec.fault.link_failure_p > 0.0) {
       Rng fault_rng(spec.fault.seed);
       if (spec.fault.sample_middles > 0) {
-        fault::apply(net, fault::sample_middle_outage(net, spec.fault.sample_middles,
-                                                      fault_rng));
+        fault::apply(copy, fault::sample_middle_outage(copy, spec.fault.sample_middles,
+                                                       fault_rng));
       }
       if (spec.fault.link_failure_p > 0.0) {
-        fault::apply(net, fault::sample_link_failures(net, spec.fault.link_failure_p,
-                                                      fault_rng));
+        fault::apply(copy, fault::sample_link_failures(copy, spec.fault.link_failure_p,
+                                                       fault_rng));
       }
     }
     if (spec.fault.worst_case_outage > 0) {
-      fault::apply(net, fault::worst_case_outage(net, spec.fault.worst_case_outage));
+      fault::apply(copy, fault::worst_case_outage(copy, spec.fault.worst_case_outage));
     }
   }
+  const ClosNetwork& net = degraded.has_value() ? *degraded : *pristine;
   result.surviving_middles = static_cast<int>(fault::surviving_middles(net).size());
 
   const FlowSet flows = instantiate(net, specs);
@@ -337,12 +439,14 @@ ScenarioResult evaluate_clos(const ScenarioSpec& spec) {
     }
   }
 
-  ClosRun run{spec, net, ms, specs, targets, macro, flows, std::move(start),
-              policy_rng(spec, rng), result};
+  ClosRun run{spec, net, specs, targets, macro, flows, std::move(start),
+              policy_rng(spec, rng), result, std::nullopt};
   std::optional<MiddleAssignment> middles = policy.clos(run);
   if (!middles.has_value()) return result;
-  fill_routed(result, allocate(spec, net.topology(), flows,
-                               expand_routing(net, flows, *middles)));
+  if (!run.alloc.has_value() || spec.objective != "maxmin") {
+    run.alloc = allocate(spec, net, flows, *middles);
+  }
+  fill_routed(result, *run.alloc);
   result.middles = std::move(*middles);
   return result;
 }

@@ -9,12 +9,15 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/adversarial.hpp"
 #include "fairness/waterfill.hpp"
+#include "fault/fault.hpp"
 #include "io/text_format.hpp"
+#include "net/macroswitch.hpp"
 #include "obs/obs.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/greedy.hpp"
@@ -1079,6 +1082,171 @@ TEST(SvcDelta, DeltaCountersTrackOutcomesWhenEnabled) {
   EXPECT_EQ(hits, 1u);
   EXPECT_EQ(misses, 1u);
   EXPECT_EQ(reuses, 1u);
+}
+
+// --------------------------------------------------------- shared topologies
+//
+// evaluate_scenario keeps pristine topologies in a small per-thread cache and
+// degrades copies for faulted cells. A new thread starts with an empty cache,
+// exactly like a fresh process, so its answer is the reference.
+
+svc::ScenarioResult evaluate_fresh(const svc::ScenarioSpec& spec) {
+  svc::ScenarioResult result;
+  std::thread([&] { result = svc::evaluate_scenario(spec); }).join();
+  return result;
+}
+
+/// A degraded C_3 cell and the pristine cell of the same shape.
+std::pair<svc::ScenarioSpec, svc::ScenarioSpec> faulted_and_pristine() {
+  const std::string cell =
+      R"("topology":{"kind":"clos","n":3},"workload":{"generator":"uniform","count":14,"seed":8},
+         "routing":{"policy":"local_search","max_moves":64})";
+  return {parse_spec("{" + cell + R"(,"fault":{"failed_middles":[2],"derated_links":[
+                       {"stage":"uplink","tor":1,"middle":1,"factor":"1/3"}]}})"),
+          parse_spec("{" + cell + "}")};
+}
+
+TEST(SvcTopologyCache, FaultedCellsNeverLeakIntoPristineCellsOnOneThread) {
+  const auto [faulted, pristine] = faulted_and_pristine();
+  const svc::ScenarioResult want_faulted = evaluate_fresh(faulted);
+  const svc::ScenarioResult want_pristine = evaluate_fresh(pristine);
+  ASSERT_EQ(want_faulted.surviving_middles, 2);
+  ASSERT_EQ(want_pristine.surviving_middles, 3);
+  ASSERT_NE(want_faulted.rates, want_pristine.rates);
+  std::thread([&] {
+    for (int rep = 0; rep < 3; ++rep) {
+      EXPECT_EQ(svc::evaluate_scenario(faulted), want_faulted) << "rep " << rep;
+      EXPECT_EQ(svc::evaluate_scenario(pristine), want_pristine) << "rep " << rep;
+    }
+  }).join();
+}
+
+TEST(SvcTopologyCache, FaultedCellsNeverLeakIntoPristineCellsAcrossThreads) {
+  const auto [faulted, pristine] = faulted_and_pristine();
+  const svc::ScenarioResult want_faulted = evaluate_fresh(faulted);
+  const svc::ScenarioResult want_pristine = evaluate_fresh(pristine);
+  // Opposite orders on two concurrent threads, each over its own cache.
+  const auto run = [&](const svc::ScenarioSpec& first, const svc::ScenarioResult& want_first,
+                       const svc::ScenarioSpec& second, const svc::ScenarioResult& want_second) {
+    for (int rep = 0; rep < 10; ++rep) {
+      EXPECT_EQ(svc::evaluate_scenario(first), want_first) << "rep " << rep;
+      EXPECT_EQ(svc::evaluate_scenario(second), want_second) << "rep " << rep;
+    }
+  };
+  std::thread a(run, std::cref(faulted), std::cref(want_faulted), std::cref(pristine),
+                std::cref(want_pristine));
+  std::thread b(run, std::cref(pristine), std::cref(want_pristine), std::cref(faulted),
+                std::cref(want_faulted));
+  a.join();
+  b.join();
+}
+
+TEST(SvcTopologyCache, DistinctCapacitiesNeverShareAnEntry) {
+  const auto cell = [](const std::string& capacity) {
+    return parse_spec(R"({"topology":{"kind":"clos","middles":2,"tors":4,"servers":2,
+                          "capacity":)" + capacity + R"(},
+                          "workload":{"generator":"uniform","count":12,"seed":3}})");
+  };
+  const svc::ScenarioSpec unit = cell("1");
+  const svc::ScenarioSpec half = cell("\"1/2\"");
+  const svc::ScenarioSpec triple = cell("3");
+  const svc::ScenarioResult want_unit = evaluate_fresh(unit);
+  const svc::ScenarioResult want_half = evaluate_fresh(half);
+  const svc::ScenarioResult want_triple = evaluate_fresh(triple);
+  // Max-min rates scale linearly with a uniform capacity.
+  for (std::size_t f = 0; f < want_unit.rates.size(); ++f) {
+    EXPECT_EQ(want_half.rates[f], want_unit.rates[f] * Rational(1, 2));
+    EXPECT_EQ(want_triple.rates[f], want_unit.rates[f] * Rational{3});
+  }
+  std::thread([&] {
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_EQ(svc::evaluate_scenario(unit), want_unit);
+      EXPECT_EQ(svc::evaluate_scenario(half), want_half);
+      EXPECT_EQ(svc::evaluate_scenario(triple), want_triple);
+    }
+  }).join();
+}
+
+TEST(SvcTopologyCache, EvictedAndOversizedTopologiesAnswerAsFreshOnes) {
+  // More shapes than the cache keeps, revisited, plus a fabric above the
+  // link ceiling (4 + 4 * 1100 links) that is built per cell.
+  std::vector<svc::ScenarioSpec> specs;
+  for (int n = 1; n <= 10; ++n) {
+    specs.push_back(parse_spec(R"({"topology":{"kind":"clos","n":)" + std::to_string(n) +
+                               R"(},"workload":{"generator":"permutation","seed":4}})"));
+  }
+  specs.push_back(parse_spec(R"({"topology":{"kind":"clos","middles":1100,"tors":2,
+      "servers":1},"workload":{"generator":"uniform","count":3,"seed":2}})"));
+  std::vector<svc::ScenarioResult> want;
+  for (const svc::ScenarioSpec& spec : specs) want.push_back(evaluate_fresh(spec));
+  std::thread([&] {
+    for (int rep = 0; rep < 2; ++rep) {
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(svc::evaluate_scenario(specs[i]), want[i]) << "spec " << i << " rep " << rep;
+      }
+    }
+  }).join();
+}
+
+TEST(SvcTopologyCache, RatesMatchTheGenericEngineOnFreshTopologies) {
+  // The service's int64 final and macro-reference fills, and the
+  // allocations the exact policies hand back, against the generic Rational
+  // engine on topologies built for each spec.
+  const char* const kPolicies[] = {"greedy", "ecmp", "local_search", "doom",
+                                   "lex_climb", "tput_climb", "exhaustive_lex",
+                                   "exhaustive_tput"};
+  const Rational kCapacities[] = {Rational{1}, Rational{1, 2}, Rational{3, 7}, Rational{2}};
+  Rng rng(2024);
+  for (int i = 0; i < 500; ++i) {
+    const int n = static_cast<int>(rng.next_int(2, 5));
+    svc::ScenarioSpec spec;
+    spec.topology.params = ClosNetwork::Params{n, 2 * n, n, kCapacities[rng.next_below(4)]};
+    spec.routing.policy = kPolicies[rng.next_below(std::size(kPolicies))];
+    const bool exact = spec.routing.policy.starts_with("exhaustive");
+    const bool climb = spec.routing.policy.ends_with("climb");
+    spec.routing.max_moves = 16;
+    spec.workload.generator = "uniform";
+    spec.workload.count = static_cast<std::size_t>(
+        exact ? rng.next_int(1, 4) : rng.next_int(1, climb ? 8 : 2 * n * n));
+    spec.workload.seed = rng.next_u64();
+    switch (rng.next_below(4)) {
+      case 0:
+        spec.fault.scenario.failed_middles = {static_cast<int>(rng.next_int(1, n))};
+        break;
+      case 1:
+        spec.fault.scenario.derated_links.push_back(
+            {rng.next_bool() ? fault::LinkStage::kUplink : fault::LinkStage::kDownlink,
+             static_cast<int>(rng.next_int(1, 2 * n)), static_cast<int>(rng.next_int(1, n)),
+             Rational(rng.next_int(0, 3), 4)});
+        break;
+      case 2:
+        spec.fault.sample_middles = 1;
+        spec.fault.seed = rng.next_u64();
+        break;
+      default:
+        break;
+    }
+    const svc::ScenarioResult got = svc::evaluate_scenario(spec);
+
+    ClosNetwork net(spec.topology.params);
+    if (!spec.fault.scenario.empty()) fault::apply(net, spec.fault.scenario);
+    if (spec.fault.sample_middles > 0) {
+      Rng fault_rng(spec.fault.seed);
+      fault::apply(net, fault::sample_middle_outage(net, 1, fault_rng));
+    }
+    const MacroSwitch ms(MacroSwitch::Params{2 * n, n, spec.topology.params.link_capacity});
+    Rng workload_rng(spec.workload.seed);
+    const FlowCollection flows_spec =
+        uniform_random(Fabric{2 * n, n}, spec.workload.count, workload_rng);
+    const FlowSet flows = instantiate(net, flows_spec);
+    ASSERT_EQ(got.middles.size(), flows.size()) << spec.canonical();
+    EXPECT_EQ(got.macro_rates, max_min_fair<Rational>(ms, instantiate(ms, flows_spec)).rates())
+        << spec.canonical();
+    EXPECT_EQ(got.rates, max_min_fair<Rational>(net, flows, got.middles).rates())
+        << spec.canonical();
+    EXPECT_EQ(got.surviving_middles,
+              static_cast<int>(fault::surviving_middles(net).size()));
+  }
 }
 
 TEST(SvcService, ObsCountersTrackRequestsWhenEnabled) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "fairness/bottleneck.hpp"
@@ -147,6 +148,37 @@ TEST(WaterfillFastpath, DifferentialDeratedFabric) {
     const Routing routing = expand_routing(net, flows, middles);
     const Allocation<Rational> alloc{fast.max_min_rates(middles)};
     EXPECT_TRUE(is_max_min_fair(net.topology(), routing, alloc));
+  }
+}
+
+TEST(WaterfillFastpath, ServerLinkModeMatchesTheMacroSwitch) {
+  // bind_server_links fills over the macro-switch's server links without
+  // building it: single- and multi-word flow sets, fractional capacities,
+  // and both engines, against the generic engine on the built MacroSwitch.
+  for (const auto& [tors, servers, capacity, count] :
+       {std::tuple{4, 2, Rational{1}, std::size_t{0}},
+        std::tuple{4, 2, Rational{1}, std::size_t{9}},
+        std::tuple{6, 3, Rational{2, 3}, std::size_t{40}},
+        std::tuple{8, 6, Rational{5, 4}, std::size_t{150}},
+        std::tuple{10, 10, Rational{1}, std::size_t{260}}}) {
+    const MacroSwitch::Params params{tors, servers, capacity};
+    const MacroSwitch ms(params);
+    Rng rng(count + 3);
+    const FlowCollection specs = uniform_random(Fabric{tors, servers}, count, rng);
+    const Allocation<Rational> reference = max_min_fair<Rational>(ms, instantiate(ms, specs));
+    for (const bool force : {false, true}) {
+      WaterfillWorkspace workspace;
+      workspace.bind_server_links(params, specs);
+      workspace.set_force_fallback(force);
+      ASSERT_TRUE(workspace.fast_path_available());
+      for (int rep = 0; rep < 2; ++rep) {
+        EXPECT_EQ(workspace.max_min_rates({}), reference.rates()) << count << " flows";
+        EXPECT_EQ(workspace.last_call_was_fast(), !force);
+      }
+      EXPECT_EQ(workspace.steady_state_allocs(), 0u);
+      EXPECT_THROW((void)workspace.max_min_rates(MiddleAssignment(count + 1, 1)),
+                   ContractViolation);
+    }
   }
 }
 
