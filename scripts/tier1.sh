@@ -275,13 +275,15 @@ cmake --build build-tsan -j "$JOBS" --target test_search_engine test_waterfill_f
     -R 'SearchEngine|WaterfillFastpath|^Wire|^Svc')
 
 echo
-echo "== tier 1: fault/workload/rate-control/routing/wire/parser tests under ASan+UBSan =="
+echo "== tier 1: fault/workload/rate-control/routing/wire/parser/exact-oracle tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCLOSFAIR_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" --target \
     test_fault test_workload test_rate_control test_search_engine test_wire \
-    test_waterfill_fastpath test_text_format test_svc test_routing_algos test_generic_routing
+    test_waterfill_fastpath test_text_format test_svc test_routing_algos test_generic_routing \
+    test_maxmin_lp test_weighted test_bottleneck test_relative_maxmin test_exact_oracles
 ASAN_TESTS='Fault|Workload|Trace|Rcp|Aimd|SearchEngine|Wire|WaterfillFastpath|TextFormat|Svc'
 ASAN_TESTS+='|Greedy|LocalSearch|GenericRouting|RoutingEngine'
+ASAN_TESTS+='|MaxMinLp|Weighted|Bottleneck|RelativeMaxMin|ExactOracles'
 (cd build-asan && ctest --output-on-failure -j "$JOBS" -R "$ASAN_TESTS")
 
 echo

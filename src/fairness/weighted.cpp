@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "fairness/bottleneck.hpp"
 #include "fairness/waterfill.hpp"
 
 namespace closfair {
@@ -93,37 +94,7 @@ bool is_weighted_max_min_fair(const Topology& topo, const Routing& routing,
                               const Allocation<R>& alloc, const std::vector<R>& weights,
                               R tolerance) {
   CF_CHECK(weights.size() == alloc.size());
-  if (!is_feasible(topo, routing, alloc, tolerance)) return false;
-
-  const std::vector<R> load = link_loads(topo, routing, alloc);
-  const std::vector<std::vector<FlowIndex>> on_link = flows_per_link(topo, routing);
-
-  std::vector<bool> saturated(topo.num_links(), false);
-  std::vector<R> max_normalized(topo.num_links(), R{0});
-  for (std::size_t l = 0; l < topo.num_links(); ++l) {
-    const Link& link = topo.link(static_cast<LinkId>(l));
-    if (link.unbounded) continue;
-    saturated[l] = load[l] + tolerance >= capacity_as<R>(link);
-    for (FlowIndex f : on_link[l]) {
-      const R normalized = alloc.rate(f) / weights[f];
-      if (normalized > max_normalized[l]) max_normalized[l] = normalized;
-    }
-  }
-
-  for (FlowIndex f = 0; f < alloc.size(); ++f) {
-    bool has_bottleneck = false;
-    for (LinkId l : routing.path(f)) {
-      const auto idx = static_cast<std::size_t>(l);
-      if (topo.link(l).unbounded) continue;
-      if (saturated[idx] &&
-          alloc.rate(f) / weights[f] + tolerance >= max_normalized[idx]) {
-        has_bottleneck = true;
-        break;
-      }
-    }
-    if (!has_bottleneck) return false;
-  }
-  return true;
+  return detail::certify_bottlenecks(topo, routing, alloc, &weights, tolerance);
 }
 
 template Allocation<Rational> weighted_max_min_fair<Rational>(const Topology&,

@@ -8,6 +8,12 @@
 // routing) the minimum of a(f)/macro(f) — the relative-max-min objective the
 // paper proposes as an open question. The ext_weighted bench measures how
 // much of the Theorem 4.3 starvation this recovers.
+//
+// The filling loop stays separate from max_min_fair's: run at unit weights it
+// gives the same bytes but measured slower on fat-tree sweep cells
+// (docs/ALGORITHMS.md). The certifier is the bottleneck scan of
+// fairness/bottleneck.hpp on normalized rates, and the independent oracle is
+// weighted_max_min_fair_lp (lp/maxmin_lp.hpp).
 #pragma once
 
 #include <vector>

@@ -1,5 +1,6 @@
 #include "flow/allocation.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace closfair {
@@ -17,6 +18,15 @@ std::string bracketed(const std::vector<Rational>& v) {
 }
 
 }  // namespace
+
+void sorted_key(const std::vector<Rational>& rates, const std::vector<Rational>* divisors,
+                std::vector<Rational>& out) {
+  out.assign(rates.begin(), rates.end());
+  if (divisors != nullptr) {
+    for (std::size_t f = 0; f < out.size(); ++f) out[f] /= (*divisors)[f];
+  }
+  std::sort(out.begin(), out.end());
+}
 
 std::string format_sorted(const Allocation<Rational>& alloc) { return bracketed(alloc.sorted()); }
 

@@ -81,6 +81,13 @@ template <typename R>
   return lex_compare(a.sorted(), b.sorted());
 }
 
+/// The key the lexicographic routing objectives sort: `rates` ascending, or
+/// the ratios rates[f] / divisors[f] ascending when `divisors` is given
+/// (relative max-min's key, with the macro-switch rates as divisors). Writes
+/// into `out`, reusing its storage.
+void sorted_key(const std::vector<Rational>& rates, const std::vector<Rational>* divisors,
+                std::vector<Rational>& out);
+
 /// Total rate crossing each link under (routing, allocation).
 template <typename R>
 [[nodiscard]] std::vector<R> link_loads(const Topology& topo, const Routing& routing,

@@ -7,6 +7,9 @@
 // simplex (lp/simplex.hpp) this is a fully independent oracle for the
 // water-filling algorithm — the two implementations share no code beyond the
 // topology types, and the test suite demands exact equality of their outputs.
+//
+// There is one loop, the weighted one; max_min_fair_lp runs it at unit
+// weight, where its LPs are exactly the unweighted formulation's.
 #pragma once
 
 #include "flow/allocation.hpp"

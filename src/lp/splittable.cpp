@@ -4,6 +4,25 @@
 #include "lp/simplex.hpp"
 
 namespace closfair {
+namespace {
+
+// The folklore's hypothesis: with at most n servers per ToR and every fabric
+// link at least as wide as a server link, splitting each flow evenly over
+// the n middles loads no uplink or downlink beyond its capacity.
+bool folklore_applies(const ClosNetwork& net) {
+  if (net.servers_per_tor() > net.num_middles()) return false;
+  const Topology& topo = net.topology();
+  const Rational& edge = topo.link(net.source_link(1, 1)).capacity;
+  for (int i = 1; i <= net.num_tors(); ++i) {
+    for (int m = 1; m <= net.num_middles(); ++m) {
+      if (topo.link(net.uplink(i, m)).capacity < edge) return false;
+      if (topo.link(net.downlink(m, i)).capacity < edge) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 SplittableMaxMin splittable_max_min(const ClosNetwork& net, const MacroSwitch& ms,
                                     const FlowCollection& specs) {
@@ -71,9 +90,12 @@ SplittableMaxMin splittable_max_min(const ClosNetwork& net, const MacroSwitch& m
   }
 
   const GeneralLpResult<Rational> witness = solve_lp_general(lp);
-  CF_CHECK_MSG(witness.status == GeneralLpStatus::kOptimal,
-               "splittable routing LP infeasible: demand-satisfaction folklore violated "
-               "(library bug)");
+  if (witness.status != GeneralLpStatus::kOptimal) {
+    CF_CHECK_MSG(!folklore_applies(net),
+                 "splittable routing LP infeasible: demand-satisfaction folklore violated "
+                 "(library bug)");
+    throw SplittableInfeasible("the fabric cannot carry the macro-switch rates splittably");
+  }
   for (FlowIndex f = 0; f < num_flows; ++f) {
     for (int m = 1; m <= n; ++m) {
       result.shares[f][static_cast<std::size_t>(m - 1)] = witness.x[var(f, m)];

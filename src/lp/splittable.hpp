@@ -12,6 +12,7 @@
 // the whole subject of the paper.
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "flow/allocation.hpp"
@@ -29,11 +30,21 @@ struct SplittableMaxMin {
   std::vector<std::vector<Rational>> shares;
 };
 
+/// Thrown by splittable_max_min when the fabric cannot carry the macro-switch
+/// rates even splittably — possible only outside the folklore's hypothesis.
+class SplittableInfeasible : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The splittable max-min fair allocation in `net`, with a witness
 /// fractional routing. The companion macro-switch must have matching
-/// dimensions. Throws ContractViolation if the witness LP is infeasible —
-/// which would falsify the demand-satisfaction folklore and therefore
-/// indicates a library bug.
+/// dimensions. The demand-satisfaction folklore guarantees a witness when no
+/// ToR has more servers than there are middles and every uplink and downlink
+/// is at least as wide as the server links (the paper's pristine C_n): there
+/// an infeasible witness LP throws ContractViolation, a library bug. On any
+/// other fabric — a degraded one (fault/fault.hpp), say — it throws
+/// SplittableInfeasible.
 [[nodiscard]] SplittableMaxMin splittable_max_min(const ClosNetwork& net,
                                                   const MacroSwitch& ms,
                                                   const FlowCollection& specs);

@@ -11,8 +11,9 @@
 namespace closfair {
 namespace {
 
-// Per-worker state of the lex-max-min search. `scratch` is the reused sort
-// buffer, so steady-state candidates allocate nothing.
+// Per-worker state of the lex search (sorted rates or sorted ratios).
+// `scratch` is the reused sort buffer, so steady-state candidates allocate
+// nothing.
 struct LexLocal {
   bool have = false;
   MiddleAssignment middles;
@@ -47,15 +48,15 @@ struct FrontierLocal {
 
 }  // namespace
 
-ExactRoutingResult lex_max_min_exhaustive(const ClosNetwork& net, const FlowSet& flows,
-                                          const ExhaustiveOptions& options) {
+ExactRoutingResult lex_key_exhaustive(const ClosNetwork& net, const FlowSet& flows,
+                                      const ExhaustiveOptions& options,
+                                      const std::vector<Rational>* divisors) {
   const SearchEngine engine(net, flows, options);
   std::vector<LexLocal> locals(engine.num_workers());
   const SearchStats stats = engine.run(
-      locals, [&options](LexLocal& local, const MiddleAssignment& middles,
-                         const std::vector<Rational>& rates, SearchOrder order) {
-        local.scratch.assign(rates.begin(), rates.end());
-        std::sort(local.scratch.begin(), local.scratch.end());
+      locals, [&options, divisors](LexLocal& local, const MiddleAssignment& middles,
+                                   const std::vector<Rational>& rates, SearchOrder order) {
+        sorted_key(rates, divisors, local.scratch);
         if (!local.have ||
             lex_compare(local.scratch, local.sorted) == std::strong_ordering::greater) {
           local.have = true;
@@ -74,7 +75,7 @@ ExactRoutingResult lex_max_min_exhaustive(const ClosNetwork& net, const FlowSet&
         return true;
       });
 
-  // Deterministic merge: greatest sorted vector, ties broken by earliest
+  // Deterministic merge: greatest sorted key, ties broken by earliest
   // enumeration order — the candidate a serial scan would have kept.
   OBS_SPAN("search.merge");
   LexLocal* best = nullptr;
@@ -100,6 +101,11 @@ ExactRoutingResult lex_max_min_exhaustive(const ClosNetwork& net, const FlowSet&
   return result;
 }
 
+ExactRoutingResult lex_max_min_exhaustive(const ClosNetwork& net, const FlowSet& flows,
+                                          const ExhaustiveOptions& options) {
+  return lex_key_exhaustive(net, flows, options, nullptr);
+}
+
 ExactRoutingResult throughput_max_min_exhaustive(const ClosNetwork& net,
                                                  const FlowSet& flows,
                                                  const ExhaustiveOptions& options) {
@@ -115,8 +121,7 @@ ExactRoutingResult throughput_max_min_exhaustive(const ClosNetwork& net,
         for (const Rational& r : rates) throughput += r;
         bool take = !local.have || local.throughput < throughput;
         if (!take && local.have && throughput == local.throughput) {
-          local.scratch.assign(rates.begin(), rates.end());
-          std::sort(local.scratch.begin(), local.scratch.end());
+          sorted_key(rates, nullptr, local.scratch);
           take = lex_compare(local.scratch, local.sorted) == std::strong_ordering::greater;
           if (take) {
             local.middles = middles;
@@ -131,8 +136,7 @@ ExactRoutingResult throughput_max_min_exhaustive(const ClosNetwork& net,
           local.throughput = throughput;
           local.middles = middles;
           local.rates.assign(rates.begin(), rates.end());
-          local.scratch.assign(rates.begin(), rates.end());
-          std::sort(local.scratch.begin(), local.scratch.end());
+          sorted_key(rates, nullptr, local.scratch);
           local.sorted.swap(local.scratch);
           local.order = order;
           // Sum-of-capacities prune: nothing can beat the bound, so attaining

@@ -107,6 +107,17 @@ struct ExactRoutingResult {
                                                         const FlowSet& flows,
                                                         const ExhaustiveOptions& options = {});
 
+/// The lex search behind lex_max_min_exhaustive and
+/// relative_max_min_exhaustive (routing/relative_maxmin.hpp): the routing
+/// whose sorted_key (flow/allocation.hpp) — sorted rates, or sorted
+/// rate / divisors[f] ratios when `divisors` is given — is lexicographically
+/// greatest, the earliest in enumeration order among ties.
+/// options.stop_at_sorted, if set, is compared with that key.
+[[nodiscard]] ExactRoutingResult lex_key_exhaustive(const ClosNetwork& net,
+                                                    const FlowSet& flows,
+                                                    const ExhaustiveOptions& options,
+                                                    const std::vector<Rational>* divisors);
+
 /// True throughput-max-min fair allocation by enumeration (exact,
 /// exponential). Lexicographic tie-break among equal-throughput routings.
 [[nodiscard]] ExactRoutingResult throughput_max_min_exhaustive(

@@ -35,8 +35,9 @@ std::vector<char> usable_mask(const ClosNetwork& net, const FlowSet& flows) {
   return mask;
 }
 
-// Shared skeleton for the two exact hill climbers: `better(candidate,
-// incumbent)` decides acceptance on (sorted rates, throughput).
+// Shared skeleton for the exact hill climbers: `better(candidate,
+// incumbent)` decides acceptance on sorted rates, sorted rate ratios
+// (relative max-min), or throughput.
 template <typename Better>
 LexSearchResult hill_climb(const ClosNetwork& net, const FlowSet& flows,
                            MiddleAssignment start, const LocalSearchOptions& options,
@@ -54,9 +55,11 @@ LexSearchResult hill_climb(const ClosNetwork& net, const FlowSet& flows,
       const int old_m = start[f];
       for (int m = 1; m <= net.num_middles(); ++m) {
         if (m == old_m) continue;
-        // Skip dead middles: routing into one can only zero this flow's rate,
-        // so the candidate is never a strict improvement — not evaluating it
-        // saves a water-fill per dead middle per scan on degraded fabrics.
+        // Skip dead middles: routing into one can only zero this flow's rate
+        // while every live-path flow keeps a positive one, so its sorted
+        // rates (or rate ratios) gain a zero and it is never a strict
+        // improvement — not evaluating it saves a water-fill per dead middle
+        // per scan on degraded fabrics.
         if (!usable.empty() && !usable[f * num_middles + static_cast<std::size_t>(m - 1)]) {
           continue;
         }
@@ -75,34 +78,51 @@ LexSearchResult hill_climb(const ClosNetwork& net, const FlowSet& flows,
   return LexSearchResult{std::move(start), std::move(current), moves};
 }
 
+// Acceptance for the lex climbers: the candidate's sorted_key is
+// lexicographically greater than the incumbent's.
+struct KeyGreater {
+  const std::vector<Rational>* divisors;
+
+  bool operator()(const Allocation<Rational>& cand, const Allocation<Rational>& cur) const {
+    std::vector<Rational> cand_key;
+    std::vector<Rational> cur_key;
+    sorted_key(cand.rates(), divisors, cand_key);
+    sorted_key(cur.rates(), divisors, cur_key);
+    return lex_compare(cand_key, cur_key) == std::strong_ordering::greater;
+  }
+};
+
 }  // namespace
 
 LexSearchResult lex_max_min_local_search(const ClosNetwork& net, const FlowSet& flows,
                                          MiddleAssignment start,
                                          const LocalSearchOptions& options) {
-  return hill_climb(net, flows, std::move(start), options,
-                    [](const Allocation<Rational>& cand, const Allocation<Rational>& cur) {
-                      return lex_compare_sorted(cand, cur) == std::strong_ordering::greater;
-                    });
+  return hill_climb(net, flows, std::move(start), options, KeyGreater{nullptr});
 }
 
-LexSearchResult lex_max_min_multistart(const ClosNetwork& net, const FlowSet& flows,
-                                       Rng& rng, std::size_t restarts,
-                                       const LocalSearchOptions& options) {
+LexSearchResult lex_key_multistart(const ClosNetwork& net, const FlowSet& flows, Rng& rng,
+                                   std::size_t restarts, const LocalSearchOptions& options,
+                                   const std::vector<Rational>* divisors) {
   CF_CHECK(restarts >= 1);
+  const KeyGreater better{divisors};
   LexSearchResult best;
   bool have_best = false;
   for (std::size_t r = 0; r < restarts; ++r) {
     MiddleAssignment start =
         r == 0 ? MiddleAssignment(flows.size(), 1) : ecmp_routing(net, flows, rng);
-    LexSearchResult result = lex_max_min_local_search(net, flows, std::move(start), options);
-    if (!have_best ||
-        lex_compare_sorted(result.alloc, best.alloc) == std::strong_ordering::greater) {
+    LexSearchResult result = hill_climb(net, flows, std::move(start), options, better);
+    if (!have_best || better(result.alloc, best.alloc)) {
       best = std::move(result);
       have_best = true;
     }
   }
   return best;
+}
+
+LexSearchResult lex_max_min_multistart(const ClosNetwork& net, const FlowSet& flows,
+                                       Rng& rng, std::size_t restarts,
+                                       const LocalSearchOptions& options) {
+  return lex_key_multistart(net, flows, rng, restarts, options, nullptr);
 }
 
 LexSearchResult throughput_max_min_local_search(const ClosNetwork& net, const FlowSet& flows,

@@ -52,12 +52,23 @@ struct LexSearchResult {
                                                        MiddleAssignment start,
                                                        const LocalSearchOptions& options = {});
 
-/// Multi-restart wrapper: `restarts` random initial assignments, keeping the
-/// lexicographically best local optimum.
+/// Multi-restart wrapper: `restarts` climbs, from the all-ones assignment
+/// and then from ecmp_routing draws, keeping the lexicographically best local
+/// optimum (the first one found on ties).
 [[nodiscard]] LexSearchResult lex_max_min_multistart(const ClosNetwork& net,
                                                      const FlowSet& flows, Rng& rng,
                                                      std::size_t restarts,
                                                      const LocalSearchOptions& options = {});
+
+/// The restart loop and climber behind lex_max_min_multistart and
+/// relative_max_min_search (routing/relative_maxmin.hpp): as
+/// lex_max_min_multistart, but climbing and comparing on sorted_key
+/// (flow/allocation.hpp) — sorted rate / divisors[f] ratios when `divisors`
+/// is given.
+[[nodiscard]] LexSearchResult lex_key_multistart(const ClosNetwork& net, const FlowSet& flows,
+                                                 Rng& rng, std::size_t restarts,
+                                                 const LocalSearchOptions& options,
+                                                 const std::vector<Rational>* divisors);
 
 /// Throughput hill climbing: accepts single-flow moves that increase the
 /// throughput of the max-min fair allocation (toward Definition 2.5); ties

@@ -1,20 +1,10 @@
 #include "routing/relative_maxmin.hpp"
 
-#include <algorithm>
-
-#include "fairness/waterfill.hpp"
-#include "routing/ecmp.hpp"
+#include "routing/exhaustive.hpp"
+#include "routing/local_search.hpp"
 
 namespace closfair {
 namespace {
-
-std::vector<Rational> sorted_ratios(const Allocation<Rational>& alloc,
-                                    const std::vector<Rational>& macro_rates) {
-  std::vector<Rational> ratios(alloc.size());
-  for (FlowIndex f = 0; f < alloc.size(); ++f) ratios[f] = alloc.rate(f) / macro_rates[f];
-  std::sort(ratios.begin(), ratios.end());
-  return ratios;
-}
 
 void check_macro_rates(const FlowSet& flows, const std::vector<Rational>& macro_rates) {
   CF_CHECK_MSG(macro_rates.size() == flows.size(),
@@ -26,12 +16,12 @@ void check_macro_rates(const FlowSet& flows, const std::vector<Rational>& macro_
 }
 
 RelativeMaxMinResult package(MiddleAssignment middles, Allocation<Rational> alloc,
-                             std::vector<Rational> ratios) {
+                             const std::vector<Rational>& macro_rates) {
   RelativeMaxMinResult result;
-  result.worst_ratio = ratios.empty() ? Rational{0} : ratios.front();
+  sorted_key(alloc.rates(), &macro_rates, result.ratios);
+  result.worst_ratio = result.ratios.empty() ? Rational{0} : result.ratios.front();
   result.middles = std::move(middles);
   result.alloc = std::move(alloc);
-  result.ratios = std::move(ratios);
   return result;
 }
 
@@ -42,93 +32,19 @@ RelativeMaxMinResult relative_max_min_search(const ClosNetwork& net, const FlowS
                                              Rng& rng, std::size_t restarts,
                                              std::size_t max_moves) {
   check_macro_rates(flows, macro_rates);
-  CF_CHECK(restarts >= 1);
-
-  MiddleAssignment best_middles;
-  Allocation<Rational> best_alloc;
-  std::vector<Rational> best_ratios;
-  bool have_best = false;
-
-  for (std::size_t r = 0; r < restarts; ++r) {
-    MiddleAssignment middles =
-        r == 0 ? MiddleAssignment(flows.size(), 1) : ecmp_routing(net, flows, rng);
-    Allocation<Rational> alloc = max_min_fair<Rational>(net, flows, middles);
-    std::vector<Rational> ratios = sorted_ratios(alloc, macro_rates);
-
-    std::size_t moves = 0;
-    bool improved = true;
-    while (improved && moves < max_moves) {
-      improved = false;
-      for (FlowIndex f = 0; f < flows.size() && moves < max_moves; ++f) {
-        const int old_m = middles[f];
-        for (int m = 1; m <= net.num_middles(); ++m) {
-          if (m == old_m) continue;
-          middles[f] = m;
-          Allocation<Rational> cand = max_min_fair<Rational>(net, flows, middles);
-          std::vector<Rational> cand_ratios = sorted_ratios(cand, macro_rates);
-          if (lex_compare(cand_ratios, ratios) == std::strong_ordering::greater) {
-            alloc = std::move(cand);
-            ratios = std::move(cand_ratios);
-            ++moves;
-            improved = true;
-            break;
-          }
-          middles[f] = old_m;
-        }
-      }
-    }
-    if (!have_best || lex_compare(ratios, best_ratios) == std::strong_ordering::greater) {
-      have_best = true;
-      best_middles = middles;
-      best_alloc = std::move(alloc);
-      best_ratios = std::move(ratios);
-    }
-  }
-  return package(std::move(best_middles), std::move(best_alloc), std::move(best_ratios));
+  LexSearchResult best = lex_key_multistart(net, flows, rng, restarts,
+                                            LocalSearchOptions{max_moves}, &macro_rates);
+  return package(std::move(best.middles), std::move(best.alloc), macro_rates);
 }
 
 RelativeMaxMinResult relative_max_min_exhaustive(const ClosNetwork& net, const FlowSet& flows,
                                                  const std::vector<Rational>& macro_rates,
                                                  std::uint64_t max_routings) {
   check_macro_rates(flows, macro_rates);
-  const int n = net.num_middles();
-
-  // Odometer enumeration with flow 0 pinned to middle 1 (middle symmetry).
-  std::uint64_t space = 1;
-  for (std::size_t f = 1; f < flows.size(); ++f) {
-    CF_CHECK_MSG(space <= max_routings / static_cast<std::uint64_t>(n),
-                 "routing space exceeds max_routings " << max_routings);
-    space *= static_cast<std::uint64_t>(n);
-  }
-
-  MiddleAssignment middles(flows.size(), 1);
-  MiddleAssignment best_middles;
-  Allocation<Rational> best_alloc;
-  std::vector<Rational> best_ratios;
-  bool have_best = false;
-
-  while (true) {
-    Allocation<Rational> alloc = max_min_fair<Rational>(net, flows, middles);
-    std::vector<Rational> ratios = sorted_ratios(alloc, macro_rates);
-    if (!have_best || lex_compare(ratios, best_ratios) == std::strong_ordering::greater) {
-      have_best = true;
-      best_middles = middles;
-      best_alloc = std::move(alloc);
-      best_ratios = std::move(ratios);
-    }
-    std::size_t pos = 1;
-    while (pos < middles.size()) {
-      if (middles[pos] < n) {
-        ++middles[pos];
-        break;
-      }
-      middles[pos] = 1;
-      ++pos;
-    }
-    if (pos >= middles.size()) break;
-  }
-  CF_CHECK_MSG(have_best, "empty flow collection");
-  return package(std::move(best_middles), std::move(best_alloc), std::move(best_ratios));
+  ExhaustiveOptions options;
+  options.max_routings = max_routings;
+  ExactRoutingResult best = lex_key_exhaustive(net, flows, options, &macro_rates);
+  return package(std::move(best.middles), std::move(best.alloc), macro_rates);
 }
 
 }  // namespace closfair

@@ -236,7 +236,12 @@ ClosRouting route_doom(ClosRun& run) { return doom_switch(run.net, run.flows).mi
 
 ClosRouting route_lp_round(ClosRun& run) {
   const MacroSwitch ms(macro_params(run.spec.topology.params));
-  const SplittableMaxMin splittable = splittable_max_min(run.net, ms, run.specs);
+  SplittableMaxMin splittable;
+  try {
+    splittable = splittable_max_min(run.net, ms, run.specs);
+  } catch (const SplittableInfeasible& e) {
+    fail(std::string("lp_round: ") + e.what());
+  }
   return round_splittable_best_of(run.net, run.flows, splittable, run.rng,
                                   run.spec.routing.attempts)
       .middles;

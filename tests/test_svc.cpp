@@ -771,6 +771,50 @@ TEST(SvcService, RuntimeErrorsBecomePerEntryErrors) {
   EXPECT_EQ(retry, (std::vector<std::string>{responses[1]}));
 }
 
+TEST(SvcService, LpRoundOnAFabricTooDegradedToSplitIsAnEvaluationError) {
+  // The Theorem 4.2 n=3 instance with middle 1 failed: the two surviving
+  // middles cannot carry the macro-switch rates even splittably, so the
+  // demand-satisfaction folklore (a pristine-Clos fact) does not apply.
+  const std::string line =
+      R"({"workload":{"instance":"clos n=3\n)"
+      R"(flow 1 2 -> 1 2 @1\nflow 1 3 -> 1 3 @1\nflow 2 2 -> 2 2 @1\n)"
+      R"(flow 2 3 -> 2 3 @1\nflow 3 2 -> 3 2 @1\nflow 3 3 -> 3 3 @1\n)"
+      R"(flow 1 1 -> 1 1 @1/3\nflow 2 1 -> 2 1 @1/3\nflow 3 1 -> 3 1 @1/3\n)"
+      R"(flow 1 1 -> 4 1 @1/3\nflow 1 1 -> 4 2 @1/3\nflow 2 1 -> 4 1 @1/3\n)"
+      R"(flow 2 1 -> 4 2 @1/3\nflow 3 1 -> 4 1 @1/3\nflow 3 1 -> 4 2 @1/3\n)"
+      R"(flow 4 3 -> 4 3 @1\n"},)"
+      R"("routing":{"policy":"lp_round","seed":1},"fault":{"failed_middles":[1]}})";
+  svc::ResultCache cache(4);
+  EXPECT_EQ(wire::answer_batch(cache, 1, {line}),
+            (std::vector<std::string>{
+                R"({"hash":"49451956e2cda5fb","error":)"
+                R"("lp_round: the fabric cannot carry the macro-switch rates splittably"})"}));
+}
+
+TEST(SvcService, ContractViolationsNameRepositoryRelativePaths) {
+  // Doom-Switch on a Clos with more servers per ToR than middles fails its
+  // precondition check; the message names the source file relative to the
+  // checkout root, so the response bytes do not depend on the build path.
+  const std::string line =
+      R"({"topology":{"kind":"clos","middles":2,"tors":4,"servers":3},)"
+      R"("workload":{"generator":"permutation","seed":3},"routing":{"policy":"doom"}})";
+  svc::ResultCache cache(4);
+  const std::vector<std::string> responses = wire::answer_batch(cache, 1, {line});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_NE(responses[0].find(" at src/routing/doom_switch.cpp:"), std::string::npos)
+      << responses[0];
+  EXPECT_EQ(responses[0].find(" at /"), std::string::npos) << responses[0];
+
+  // The same holds for a check in a header template expanded in this TU.
+  try {
+    (void)lex_compare(std::vector<int>{1}, std::vector<int>{1, 2});
+    ADD_FAILURE() << "lex_compare accepted vectors of different lengths";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(" at src/flow/allocation.hpp:"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------------ cache pinning
 
 TEST(SvcCache, InsertReportsWhetherTheEntryIsNew) {
